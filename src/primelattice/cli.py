@@ -13,16 +13,10 @@ import argparse
 import json
 import re
 import sys
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import DomainError
-from .factorization import (
-    MAX_INPUT,
-    factorize,
-    load_sieve_cache,
-    reconstruct,
-    save_sieve_cache,
-)
+from .factorization import MAX_INPUT, factorize, reconstruct
 from .gcdlcm import (
     check_distributive_identity,
     check_product_identity,
@@ -66,6 +60,15 @@ class _Parser(argparse.ArgumentParser):
         raise _ParserExit(1, f"{self.format_usage()}{self.prog}: error: {message}\n")
 
 
+class _Output(NamedTuple):
+    """One handler's result: the JSON record, text lines, CSV (header, rows), exit code."""
+
+    record: dict
+    lines: list[str]
+    csv_data: tuple[list[str], list[list[str]]]
+    code: int
+
+
 def _decimal_int(text: str) -> int:
     if not _DECIMAL.fullmatch(text):
         raise argparse.ArgumentTypeError(f"expected a decimal integer, got {text!r}")
@@ -93,7 +96,7 @@ def _pretty_factorization(entries: Sequence[tuple[int, int]]) -> str:
     return " * ".join(f"{p}^{e}" if e > 1 else f"{p}" for p, e in entries)
 
 
-def _cmd_factor(args: argparse.Namespace) -> tuple[dict, list[str], tuple[list[str], list[list[str]]], int]:
+def _cmd_factor(args: argparse.Namespace) -> _Output:
     fac = factorize(args.n)
     rebuilt = reconstruct(fac)
     pretty = _pretty_factorization(fac.entries)
@@ -105,7 +108,7 @@ def _cmd_factor(args: argparse.Namespace) -> tuple[dict, list[str], tuple[list[s
     }
     lines = [f"{args.n} = {pretty}"]
     csv_data = (["n", "factorization"], [[str(args.n), pretty]])
-    return record, lines, csv_data, 0 if rebuilt == args.n else 2
+    return _Output(record, lines, csv_data, 0 if rebuilt == args.n else 2)
 
 
 def _euclid_fold(values: Sequence[int]) -> tuple[int, int]:
@@ -117,7 +120,7 @@ def _euclid_fold(values: Sequence[int]) -> tuple[int, int]:
     return g, l
 
 
-def _cmd_gcd(args: argparse.Namespace, *, lcm_only: bool = False) -> tuple[dict, list[str], tuple[list[str], list[list[str]]], int]:
+def _cmd_gcd(args: argparse.Namespace, *, lcm_only: bool = False) -> _Output:
     if len(args.values) < 2:
         raise DomainError("at least two integers are required")
     res = gcd_lcm_set(args.values)
@@ -143,14 +146,14 @@ def _cmd_gcd(args: argparse.Namespace, *, lcm_only: bool = False) -> tuple[dict,
         "result": result,
         "verification": {"gcd_euclid": oracle_gcd, "lcm_euclid_fold": oracle_lcm, "matches": matches},
     }
-    return record, lines, csv_data, 0 if matches else 2
+    return _Output(record, lines, csv_data, 0 if matches else 2)
 
 
-def _cmd_lcm(args: argparse.Namespace) -> tuple[dict, list[str], tuple[list[str], list[list[str]]], int]:
+def _cmd_lcm(args: argparse.Namespace) -> _Output:
     return _cmd_gcd(args, lcm_only=True)
 
 
-def _cmd_ratio(args: argparse.Namespace) -> tuple[dict, list[str], tuple[list[str], list[list[str]]], int]:
+def _cmd_ratio(args: argparse.Namespace) -> _Output:
     red = reduce_ratio(args.a, args.b)
     cross_ok = abs(args.a) * red.right == abs(args.b) * red.left
     coprime = gcd_euclid(red.left, red.right) == 1
@@ -163,7 +166,7 @@ def _cmd_ratio(args: argparse.Namespace) -> tuple[dict, list[str], tuple[list[st
     }
     lines = [f"ratio = {red.left}:{red.right}"]
     csv_data = (["left", "right"], [[str(red.left), str(red.right)]])
-    return record, lines, csv_data, 0 if matches else 2
+    return _Output(record, lines, csv_data, 0 if matches else 2)
 
 
 def _synthesize_permutation(lengths: Sequence[int]) -> list[int]:
@@ -177,7 +180,7 @@ def _synthesize_permutation(lengths: Sequence[int]) -> list[int]:
     return perm
 
 
-def _cmd_order(args: argparse.Namespace) -> tuple[dict, list[str], tuple[list[str], list[list[str]]], int]:
+def _cmd_order(args: argparse.Namespace) -> _Output:
     if args.perm is not None:
         perm = args.perm
         decomposition = cycle_decompose(perm)
@@ -212,10 +215,10 @@ def _cmd_order(args: argparse.Namespace) -> tuple[dict, list[str], tuple[list[st
         f"order = {m}",
     ]
     csv_data = (["degree", "order"], [[str(decomposition.n), str(m)]])
-    return record, lines, csv_data, code
+    return _Output(record, lines, csv_data, code)
 
 
-def _cmd_landau(args: argparse.Namespace) -> tuple[dict, list[str], tuple[list[str], list[list[str]]], int]:
+def _cmd_landau(args: argparse.Namespace) -> _Output:
     method = args.method
     code = 0
     verification: dict[str, object] | None = None
@@ -271,10 +274,10 @@ def _cmd_landau(args: argparse.Namespace) -> tuple[dict, list[str], tuple[list[s
         ["n", "g_n", "ratio", "witness"],
         [[str(args.n), str(shown.value), ratio_text, _format_witness(shown.witness.parts)]],
     )
-    return record, lines, csv_data, code
+    return _Output(record, lines, csv_data, code)
 
 
-def _cmd_table(args: argparse.Namespace) -> tuple[dict, list[str], tuple[list[str], list[list[str]]], int]:
+def _cmd_table(args: argparse.Namespace) -> _Output:
     records = asymptotic_table(args.max, args.step)
     header = ["n", "g_n", "ratio", "witness"]
     rows = [
@@ -296,7 +299,7 @@ def _cmd_table(args: argparse.Namespace) -> tuple[dict, list[str], tuple[list[st
         lines = [f"wrote {len(rows)} rows to {args.out}"]
     else:
         lines = csv_text.splitlines()
-    return record, lines, (header, rows), 0
+    return _Output(record, lines, (header, rows), 0)
 
 
 def _sweep_draws(kind: str, rng: SplitMix64, max_value: int) -> tuple[int, ...]:
@@ -352,7 +355,7 @@ def verify_sweep(kind: str, count: int, seed: int, max_value: int) -> dict:
     }
 
 
-def _cmd_verify(args: argparse.Namespace) -> tuple[dict, list[str], tuple[list[str], list[list[str]]], int]:
+def _cmd_verify(args: argparse.Namespace) -> _Output:
     report = verify_sweep(args.kind, args.count, args.seed, args.max)
     record = {
         "command": "verify",
@@ -370,7 +373,7 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[dict, list[str], tuple[list[s
         [[report["kind"], str(report["count"]), str(report["seed"]), str(report["max"]),
           str(report["passed"]), str(report["failed"])]],
     )
-    return record, lines, csv_data, 0 if report["failed"] == 0 else 2
+    return _Output(record, lines, csv_data, 0 if report["failed"] == 0 else 2)
 
 
 _HANDLERS = {
@@ -388,7 +391,6 @@ _HANDLERS = {
 def build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    common.add_argument("--sieve-cache", metavar="PATH", default=None)
 
     parser = _Parser(prog="primelattice", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, metavar="SUBCOMMAND")
@@ -429,16 +431,16 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _emit(fmt: str, record: dict, lines: list[str], csv_data: tuple[list[str], list[list[str]]]) -> None:
+def _emit(fmt: str, out: _Output) -> None:
     if fmt == "json":
-        print(json.dumps(record, indent=2))
+        print(json.dumps(out.record, indent=2))
     elif fmt == "csv":
-        header, rows = csv_data
+        header, rows = out.csv_data
         print(",".join(header))
         for row in rows:
             print(",".join(row))
     else:
-        for line in lines:
+        for line in out.lines:
             print(line)
 
 
@@ -450,17 +452,14 @@ def run(argv: Sequence[str] | None = None) -> int:
         if ex.message:
             print(ex.message, end="", file=sys.stderr)
         return ex.status
-    if args.sieve_cache:
-        load_sieve_cache(args.sieve_cache)
     try:
-        record, lines, csv_data, code = _HANDLERS[args.command](args)
-    except DomainError as ex:
+        out = _HANDLERS[args.command](args)
+    except (DomainError, OSError) as ex:
+        # OSError can only come from writing table --out
         print(f"error: {ex}", file=sys.stderr)
         return 1
-    _emit(args.format, record, lines, csv_data)
-    if args.sieve_cache:
-        save_sieve_cache(args.sieve_cache)
-    return code
+    _emit(args.format, out)
+    return out.code
 
 
 def main() -> None:

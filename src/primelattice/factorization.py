@@ -9,8 +9,6 @@ whatever survives with all factors above the trial range.
 from __future__ import annotations
 
 import math
-import os
-import struct
 import threading
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -25,11 +23,6 @@ DEFAULT_RHO_SEED = 0x517CC1B727220A95
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 # Witness set that makes Miller-Rabin exact for every n below 2**64.
 _MR_BASES = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
-
-_SIEVE_MAGIC = b"GLSIEVE1"
-# No gap between consecutive primes below 2**64 comes anywhere near this,
-# so a cache file whose last prime trails its limit by more is garbage.
-_MAX_TAIL_GAP = 10**4
 
 
 def is_prime(n: int) -> bool:
@@ -76,110 +69,26 @@ def _eratosthenes(limit: int) -> tuple[int, ...]:
     return tuple(i for i in range(2, limit + 1) if flags[i])
 
 
-class _SieveCache:
-    """Grow-only prime cache; readers see atomic (limit, primes) snapshots."""
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._state: tuple[int, tuple[int, ...]] = (1, ())
-
-    def upto(self, limit: int) -> list[int]:
-        lim, primes = self._state
-        if limit > lim:
-            with self._lock:
-                lim, primes = self._state
-                if limit > lim:
-                    # geometric growth amortizes repeated slightly-larger asks
-                    lim = max(limit, 2 * lim, 1 << 10)
-                    primes = _eratosthenes(lim)
-                    self._state = (lim, primes)
-        return list(primes[: bisect_right(primes, limit)])
-
-    def snapshot(self) -> tuple[int, tuple[int, ...]]:
-        return self._state
-
-    def install(self, limit: int, primes: tuple[int, ...]) -> None:
-        with self._lock:
-            if limit > self._state[0]:
-                self._state = (limit, primes)
-
-
-_sieve = _SieveCache()
+_sieve_lock = threading.Lock()
+# grow-only; readers see an atomic (limit, primes) snapshot without the lock
+_sieve_state: tuple[int, tuple[int, ...]] = (1, ())
 
 
 def primes_up_to(limit: int) -> list[int]:
     """Return every prime <= limit in ascending order."""
+    global _sieve_state
     if limit < 2:
         return []
-    return _sieve.upto(limit)
-
-
-def save_sieve_cache(path: str) -> bool:
-    """Write the in-memory sieve to path; returns False when there is nothing to save.
-
-    File layout: the magic bytes GLSIEVE1, the sieve limit as a
-    little-endian u64, then each prime as a little-endian u64.
-    """
-    limit, primes = _sieve.snapshot()
-    if not primes:
-        return False
-    payload = _SIEVE_MAGIC + struct.pack("<Q", limit) + struct.pack(f"<{len(primes)}Q", *primes)
-    tmp = f"{path}.tmp.{os.getpid()}"
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(payload)
-        os.replace(tmp, path)
-    except OSError:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        return False
-    return True
-
-
-def load_sieve_cache(path: str) -> bool:
-    """Install primes from a cache file written by save_sieve_cache.
-
-    A missing, truncated, or otherwise suspect file is ignored and the
-    sieve is left to recompute; the return value reports whether the file
-    was accepted. Validation checks the magic, the record size, strict
-    ascent from 2, primality of every entry, the absence of primes between
-    the last entry and the declared limit, and a Chebyshev-style bound on
-    the prime count. A file thinned in the middle by exactly a few entries
-    could still slip through; the bound makes gross tampering fail.
-    """
-    try:
-        with open(path, "rb") as fh:
-            data = fh.read()
-    except OSError:
-        return False
-    if len(data) < 16 or not data.startswith(_SIEVE_MAGIC):
-        return False
-    body = data[16:]
-    if len(body) % 8:
-        return False
-    (limit,) = struct.unpack_from("<Q", data, 8)
-    primes = struct.unpack(f"<{len(body) // 8}Q", body)
-    if limit < 2 or not primes:
-        return False
-    if primes[0] != 2 or primes[-1] > limit:
-        return False
-    if limit - primes[-1] > _MAX_TAIL_GAP:
-        return False
-    if limit >= 17:
-        estimate = limit / math.log(limit)
-        if not estimate <= len(primes) <= 1.26 * estimate:
-            return False
-    last = 1
-    for p in primes:
-        if p <= last or not is_prime(p):
-            return False
-        last = p
-    if any(is_prime(k) for k in range(primes[-1] + 1, limit + 1)):
-        return False
-    _sieve.install(limit, primes)
-    return True
+    lim, primes = _sieve_state
+    if limit > lim:
+        with _sieve_lock:
+            lim, primes = _sieve_state
+            if limit > lim:
+                # geometric growth amortizes repeated slightly-larger asks
+                lim = max(limit, 2 * lim, 1 << 10)
+                primes = _eratosthenes(lim)
+                _sieve_state = (lim, primes)
+    return list(primes[: bisect_right(primes, limit)])
 
 
 @dataclass(frozen=True)

@@ -148,12 +148,9 @@ def check_distributive_identity(a: int, b: int, c: int) -> DistributiveCheck:
     for v in (a, b, c):
         if v < 1:
             raise DomainError("distributive identity check expects positive integers")
-    left = gcd_lcm_set(
-        [gcd_lcm_set([a, b]).lcm, gcd_lcm_set([b, c]).lcm, gcd_lcm_set([a, c]).lcm]
-    ).gcd
-    right = gcd_lcm_set(
-        [gcd_lcm_set([a, b]).gcd, gcd_lcm_set([b, c]).gcd, gcd_lcm_set([a, c]).gcd]
-    ).lcm
+    pairs = [gcd_lcm_set(pair) for pair in ([a, b], [b, c], [a, c])]
+    left = gcd_lcm_set([res.lcm for res in pairs]).gcd
+    right = gcd_lcm_set([res.gcd for res in pairs]).lcm
 
     support, (va, vb, vc) = align([factorize(a), factorize(b), factorize(c)])
     pair_maxima = [join([va, vb]), join([vb, vc]), join([va, vc])]

@@ -14,7 +14,7 @@ import threading
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from .errors import DomainError
+from .errors import DomainError, _positive_non_increasing
 from .factorization import primes_up_to
 from .gcdlcm import gcd_lcm_set
 
@@ -30,15 +30,8 @@ class Partition:
     n: int = field(init=False)
 
     def __post_init__(self) -> None:
-        parts = tuple(int(x) for x in self.parts)
+        parts = _positive_non_increasing(self.parts, "partition parts")
         object.__setattr__(self, "parts", parts)
-        prev = None
-        for x in parts:
-            if x < 1:
-                raise DomainError(f"partition parts must be positive, got {x}")
-            if prev is not None and x > prev:
-                raise DomainError(f"partition parts must be non-increasing, saw {x} after {prev}")
-            prev = x
         object.__setattr__(self, "n", sum(parts))
 
 

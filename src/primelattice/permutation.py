@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import DomainError
+from .errors import DomainError, _positive_non_increasing
 from .gcdlcm import gcd_lcm_set
 
 
@@ -23,15 +23,8 @@ class CycleDecomposition:
     cycle_lengths: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        lengths = tuple(int(x) for x in self.cycle_lengths)
+        lengths = _positive_non_increasing(self.cycle_lengths, "cycle lengths")
         object.__setattr__(self, "cycle_lengths", lengths)
-        prev = None
-        for x in lengths:
-            if x < 1:
-                raise DomainError(f"cycle lengths must be positive, got {x}")
-            if prev is not None and x > prev:
-                raise DomainError(f"cycle lengths must be non-increasing, saw {x} after {prev}")
-            prev = x
         if sum(lengths) != self.n:
             raise DomainError(f"cycle lengths sum to {sum(lengths)}, expected {self.n}")
 

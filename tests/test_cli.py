@@ -68,6 +68,14 @@ class TestExitCodes:
     def test_unknown_flag(self):
         assert run_cli(["gcd", "60", "90", "--frob"])[0] == 1
 
+    def test_removed_cache_flag_is_usage_error(self, tmp_path):
+        path = tmp_path / "p"
+        code, out, err = run_cli(["factor", "60", "--sieve-cache", str(path)])
+        assert code == 1
+        assert "usage" in err
+        assert out == ""
+        assert not path.exists()
+
     def test_help_exits_zero(self):
         code, out, _ = run_cli(["--help"])
         assert code == 0
@@ -220,6 +228,13 @@ class TestTableCommand:
         _, stdout_csv, _ = run_cli(["table", "--max", "30"])
         assert target.read_text() == stdout_csv
 
+    def test_out_to_missing_directory_is_an_error(self, tmp_path):
+        code, out, err = run_cli(["table", "--max", "6", "--out", str(tmp_path / "missing" / "t.csv")])
+        assert code == 1
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+        assert out == ""
+
     def test_json_rows(self):
         record = run_json(["table", "--max", "4"])
         assert record["result"]["header"] == ["n", "g_n", "ratio", "witness"]
@@ -249,25 +264,6 @@ class TestVerifyCommand:
     def test_count_and_max_preconditions(self):
         assert run_cli(["verify", "--kind", "product", "--count", "0", "--seed", "1", "--max", "10"])[0] == 1
         assert run_cli(["verify", "--kind", "product", "--count", "1", "--seed", "1", "--max", "1"])[0] == 1
-
-
-class TestSieveCacheFlag:
-    def test_cache_file_created_and_reused(self, tmp_path):
-        path = tmp_path / "primes.sieve"
-        code, out, _ = run_cli(["factor", "1000003", "--sieve-cache", str(path)])
-        assert code == 0
-        assert path.exists()
-        assert path.read_bytes()[:8] == b"GLSIEVE1"
-        code, out2, _ = run_cli(["factor", "1000003", "--sieve-cache", str(path)])
-        assert code == 0
-        assert out == out2
-
-    def test_corrupt_cache_is_ignored(self, tmp_path):
-        path = tmp_path / "primes.sieve"
-        path.write_bytes(b"garbage here")
-        code, out, _ = run_cli(["factor", "60", "--sieve-cache", str(path)])
-        assert code == 0
-        assert out == "60 = 2^2 * 3 * 5\n"
 
 
 def test_module_entry_point_is_deterministic():

@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from primelattice import DomainError, Factorization, factorize, is_prime, primes_up_to, reconstruct
-from primelattice.factorization import MAX_INPUT, load_sieve_cache, save_sieve_cache
+from primelattice.factorization import MAX_INPUT
 
 # Mersenne number 2**59 - 1 and its classical two-prime splitting.
 M59 = 2**59 - 1
@@ -156,46 +156,3 @@ class TestFactorizationType:
 
     def test_structural_equality(self):
         assert factorize(84) == factorize(84)
-
-
-class TestSieveCacheFile:
-    def test_save_then_load(self, tmp_path):
-        primes_up_to(5000)
-        path = str(tmp_path / "sieve.bin")
-        assert save_sieve_cache(path)
-        with open(path, "rb") as fh:
-            assert fh.read(8) == b"GLSIEVE1"
-        assert load_sieve_cache(path)
-
-    def test_missing_file(self, tmp_path):
-        assert not load_sieve_cache(str(tmp_path / "absent.bin"))
-
-    def test_bad_magic(self, tmp_path):
-        path = tmp_path / "sieve.bin"
-        path.write_bytes(b"NOTMAGIC" + b"\x00" * 16)
-        assert not load_sieve_cache(str(path))
-
-    def test_truncated_payload(self, tmp_path):
-        import struct
-
-        path = tmp_path / "sieve.bin"
-        path.write_bytes(b"GLSIEVE1" + struct.pack("<Q", 100) + b"\x01\x02\x03")
-        assert not load_sieve_cache(str(path))
-
-    def test_composite_entry_rejected(self, tmp_path):
-        import struct
-
-        path = tmp_path / "sieve.bin"
-        body = struct.pack("<4Q", 2, 3, 4, 5)
-        path.write_bytes(b"GLSIEVE1" + struct.pack("<Q", 5) + body)
-        assert not load_sieve_cache(str(path))
-
-    def test_missing_tail_prime_rejected(self, tmp_path):
-        import struct
-
-        path = tmp_path / "sieve.bin"
-        # claims limit 100 but stops at 89, silently dropping 97
-        primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89]
-        body = struct.pack(f"<{len(primes)}Q", *primes)
-        path.write_bytes(b"GLSIEVE1" + struct.pack("<Q", 100) + body)
-        assert not load_sieve_cache(str(path))
