@@ -182,18 +182,18 @@ def _synthesize_permutation(lengths: Sequence[int]) -> list[int]:
 
 def _cmd_order(args: argparse.Namespace) -> _Output:
     if args.perm is not None:
-        perm = args.perm
-        decomposition = cycle_decompose(perm)
-        inputs = {"perm": list(perm)}
+        decomposition = cycle_decompose(args.perm)
+        inputs = {"perm": list(args.perm)}
     else:
         lengths = tuple(sorted(args.cycles, reverse=True))
         decomposition = CycleDecomposition(n=sum(lengths), cycle_lengths=lengths)
-        perm = _synthesize_permutation(decomposition.cycle_lengths)
         inputs = {"cycles": list(args.cycles)}
     m = order(decomposition)
     verification: dict[str, object] = {"method": "power_iteration"}
     code = 0
     if decomposition.n * m <= _ORDER_CHECK_BUDGET:
+        # --cycles gets its one-line form only here, where power iteration uses it
+        perm = args.perm if args.perm is not None else _synthesize_permutation(decomposition.cycle_lengths)
         confirmed = verify_order(perm, m)
         verification.update(checked=True, confirmed=confirmed)
         if not confirmed:

@@ -156,11 +156,13 @@ def factorize(n: int, *, rho_seed: int = DEFAULT_RHO_SEED) -> Factorization:
                 # once the cofactor is prime the rest of the scan is wasted
                 if m == 1 or is_prime(m):
                     break
-    if m > 1:
-        if is_prime(m):
-            powers[m] = powers.get(m, 0) + 1
         else:
+            # the trial list ran out with the cofactor still composite
             _rho_split(m, powers, SplitMix64(rho_seed ^ (n * 0x9E3779B97F4A7C15)))
+            m = 1
+    # any cofactor left here was proved prime above (or by p * p > m)
+    if m > 1:
+        powers[m] = powers.get(m, 0) + 1
     return Factorization(tuple(sorted(powers.items())))
 
 

@@ -8,6 +8,7 @@ lattice computation.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -90,16 +91,30 @@ def gcd_lcm_set(values: Sequence[int]) -> GcdLcmResult:
     Signs are dropped: divisibility does not see them, so the result is the
     same for -4 as for 4. Zero is rejected because max exponents (and with
     them the lcm) stop existing once zero joins the set.
+
+    Each value is factored once and its entries are folded in one pass into
+    the maximum exponent of every prime seen and the minimum over primes
+    common to all values, so the cost follows the factor entries rather
+    than the number of values times the joint support.
     """
-    vals = list(values)
+    vals = [_integer(v) for v in values]
     if not vals:
         raise DomainError("gcd/lcm of an empty set is undefined")
     for v in vals:
         if v == 0:
             raise DomainError("gcd/lcm require nonzero integers; zero admits no exponent vector")
-    support, vectors = align([factorize(abs(v)) for v in vals])
-    mins = meet(vectors)
-    maxs = join(vectors)
+    tables = (factorize(abs(v)).as_dict() for v in vals)
+    lows = next(tables)
+    highs = dict(lows)
+    for table in tables:
+        for p, e in table.items():
+            if e > highs.get(p, 0):
+                highs[p] = e
+        # a prime missing from this value has exponent 0, so it leaves lows
+        lows = {p: min(e, table[p]) for p, e in lows.items() if p in table}
+    support = PrimeSupport(tuple(sorted(highs)))
+    mins = ExponentVector(support, tuple(lows.get(p, 0) for p in support.primes))
+    maxs = ExponentVector(support, tuple(highs[p] for p in support.primes))
     return GcdLcmResult(
         gcd=lattice.reconstruct(mins),
         lcm=lattice.reconstruct(maxs),
@@ -107,6 +122,15 @@ def gcd_lcm_set(values: Sequence[int]) -> GcdLcmResult:
         min_exponents=mins,
         max_exponents=maxs,
     )
+
+
+def _integer(value: int) -> int:
+    if isinstance(value, bool):
+        raise DomainError(f"gcd/lcm require integers, got the bool {value!r}")
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise DomainError(f"gcd/lcm require integers, got {value!r}") from None
 
 
 def gcd_euclid(a: int, b: int) -> int:

@@ -117,15 +117,17 @@ def partition_count(n: int) -> int:
 def landau_bruteforce(n: int) -> LandauRecord:
     """Maximal lcm by scanning every partition of n.
 
-    The witness is the first maximizer in enumeration order. Partition
-    counts grow superpolynomially, hence the hard limit.
+    The witness is the first maximizer in enumeration order. Each partition
+    is scored with math.lcm; the record re-derives the witness lcm through
+    the exponent route. Partition counts grow superpolynomially, hence the
+    hard limit.
     """
     if not 1 <= n <= BRUTE_FORCE_LIMIT:
         raise DomainError(f"brute force supports 1 <= n <= {BRUTE_FORCE_LIMIT}, got {n}")
     best = 0
     witness = None
     for part in partitions(n):
-        value = gcd_lcm_set(list(part.parts)).lcm
+        value = math.lcm(*part.parts)
         if value > best:
             best = value
             witness = part

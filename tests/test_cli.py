@@ -171,6 +171,16 @@ class TestOrderCommand:
         assert record["verification"]["checked"] is False
         assert record["verification"]["confirmed"] is None
 
+    def test_unchecked_cycles_never_build_the_permutation(self, monkeypatch):
+        # degree 2001 times order 1001000 is past the power-iteration budget
+        def refuse(lengths):
+            raise AssertionError("one-line permutation built for an unchecked order")
+
+        monkeypatch.setattr(cli, "_synthesize_permutation", refuse)
+        record = run_json(["order", "--cycles", "1001,1000"])
+        assert record["result"]["order"] == 1001000
+        assert record["verification"]["checked"] is False
+
     def test_requires_exactly_one_input_form(self):
         assert run_cli(["order"])[0] == 1
         assert run_cli(["order", "--cycles", "2", "--perm", "1"])[0] == 1

@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from primelattice import DomainError, Factorization, factorize, is_prime, primes_up_to, reconstruct
+from primelattice import factorization
 from primelattice.factorization import MAX_INPUT
 
 # Mersenne number 2**59 - 1 and its classical two-prime splitting.
@@ -120,6 +121,18 @@ class TestFactorize:
     def test_result_is_independent_of_rho_seed(self):
         n = (10**9 + 7) * (10**9 + 9)
         assert factorize(n, rho_seed=1) == factorize(n, rho_seed=2**40 + 17)
+
+    def test_prime_cofactor_is_tested_once(self, monkeypatch):
+        # one test proves 1000003 prime, one more comes from Factorization's own check
+        calls = []
+
+        def counting_is_prime(n):
+            calls.append(n)
+            return is_prime(n)
+
+        monkeypatch.setattr(factorization, "is_prime", counting_is_prime)
+        assert factorize(1_000_003).entries == ((1_000_003, 1),)
+        assert calls == [1_000_003, 1_000_003]
 
     @given(st.integers(min_value=1, max_value=10**6))
     def test_roundtrip_small(self, n):

@@ -12,8 +12,9 @@ from primelattice import (
     gcd_lcm_set,
     reduce_ratio,
 )
+from primelattice.factorization import factorize
 from primelattice.gcdlcm import GcdLcmResult, ReducedRatio
-from primelattice.lattice import PrimeSupport, ExponentVector
+from primelattice.lattice import PrimeSupport, ExponentVector, align, join, meet
 
 nonzero = st.integers(min_value=-(10**6), max_value=10**6).filter(lambda v: v != 0)
 positive = st.integers(min_value=1, max_value=10**6)
@@ -79,6 +80,42 @@ def test_gcd_divides_all_and_all_divide_lcm(values):
     for v in values:
         assert abs(v) % res.gcd == 0
         assert res.lcm % abs(v) == 0
+
+
+def test_non_integers_are_rejected():
+    # a float or a bool used to be taken for the integer it compares equal to
+    for values in ([6.0, 4], [True, 4], [4, False], ["6", 4], [None]):
+        with pytest.raises(DomainError, match="require integers"):
+            gcd_lcm_set(values)
+
+
+def test_integer_like_values_are_accepted():
+    class Index:
+        def __index__(self):
+            return 12
+
+    res = gcd_lcm_set([Index(), 18])
+    assert (res.gcd, res.lcm) == (6, 36)
+
+
+# many values, small ones among them so that repeats, 1s and shared primes are common
+_fold_values = st.lists(
+    st.one_of(st.sampled_from([1, -1, 2, -2, 3, 4, 6, 12]), nonzero),
+    min_size=1,
+    max_size=80,
+)
+
+
+@settings(max_examples=60)
+@given(_fold_values)
+def test_one_pass_fold_matches_dense_route(values):
+    res = gcd_lcm_set(values)
+    support, vectors = align([factorize(abs(v)) for v in values])
+    assert res.support == support
+    assert res.min_exponents == meet(vectors)
+    assert res.max_exponents == join(vectors)
+    assert res.gcd == math.gcd(*values)
+    assert res.lcm == math.lcm(*values)
 
 
 def test_result_type_rejects_inconsistent_fields():

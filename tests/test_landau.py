@@ -120,6 +120,13 @@ class TestLandau:
             assert gcd_lcm_set(list(dp.witness.parts)).lcm == dp.value
             assert gcd_lcm_set(list(brute.witness.parts)).lcm == brute.value
 
+    def test_bruteforce_witness_is_the_first_maximizer(self):
+        for n in range(1, 21):
+            scores = [(p, gcd_lcm_set(list(p.parts)).lcm) for p in partitions(n)]
+            best = max(value for _, value in scores)
+            first = next(p for p, value in scores if value == best)
+            assert landau_bruteforce(n).witness == first, n
+
     def test_limits(self):
         with pytest.raises(DomainError):
             landau_bruteforce(61)
