@@ -1,8 +1,20 @@
+import operator
 from typing import Iterable
 
 
 class DomainError(ValueError):
     """Raised when an input falls outside an operation's documented domain."""
+
+
+def _integer(value: int, requirement: str) -> int:
+    """Return value as an int, rejecting bools and anything without __index__;
+    requirement opens the error message, e.g. "gcd/lcm require integers"."""
+    if isinstance(value, bool):
+        raise DomainError(f"{requirement}, got the bool {value!r}")
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise DomainError(f"{requirement}, got {value!r}") from None
 
 
 def _positive_non_increasing(values: Iterable[int], noun: str) -> tuple[int, ...]:

@@ -12,8 +12,9 @@ import math
 import threading
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import islice
 
-from .errors import DomainError
+from .errors import DomainError, _integer
 from .rng import SplitMix64
 
 MAX_INPUT = 2**64 - 1
@@ -74,11 +75,12 @@ _sieve_lock = threading.Lock()
 _sieve_state: tuple[int, tuple[int, ...]] = (1, ())
 
 
-def primes_up_to(limit: int) -> list[int]:
-    """Return every prime <= limit in ascending order."""
+def _sieved(limit: int) -> tuple[int, ...]:
+    """Return the shared ascending tuple of sieved primes, grown to cover limit.
+
+    The tuple may run past limit; callers bisect it instead of copying it.
+    """
     global _sieve_state
-    if limit < 2:
-        return []
     lim, primes = _sieve_state
     if limit > lim:
         with _sieve_lock:
@@ -88,6 +90,14 @@ def primes_up_to(limit: int) -> list[int]:
                 lim = max(limit, 2 * lim, 1 << 10)
                 primes = _eratosthenes(lim)
                 _sieve_state = (lim, primes)
+    return primes
+
+
+def primes_up_to(limit: int) -> list[int]:
+    """Return every prime <= limit in ascending order."""
+    if limit < 2:
+        return []
+    primes = _sieved(limit)
     return list(primes[: bisect_right(primes, limit)])
 
 
@@ -129,6 +139,16 @@ def factorize(n: int, *, rho_seed: int = DEFAULT_RHO_SEED) -> Factorization:
     The result is independent of rho_seed; the seed only steers how fast
     Pollard rho happens to split hard semiprimes.
     """
+    n = _integer(n, "factorization requires an integer")
+    return Factorization(tuple(sorted(_prime_powers(n, rho_seed).items())))
+
+
+def _prime_powers(n: int, rho_seed: int = DEFAULT_RHO_SEED) -> dict[int, int]:
+    """Map each prime of an int n to its exponent, in no particular order.
+
+    Every key is proved prime on the way (by Miller-Rabin, by the sieve, or
+    by p * p > m), but the map is not wrapped in a validated Factorization.
+    """
     if n < 1:
         raise DomainError(f"factorization is defined for positive integers, got {n}")
     if n > MAX_INPUT:
@@ -143,8 +163,11 @@ def factorize(n: int, *, rho_seed: int = DEFAULT_RHO_SEED) -> Factorization:
                 e += 1
             powers[p] = e
     if m > 1 and not is_prime(m):
-        trial = primes_up_to(min(TRIAL_CUTOFF, math.isqrt(m)))
-        for p in trial[bisect_right(trial, _SMALL_PRIMES[-1]) :]:
+        limit = min(TRIAL_CUTOFF, math.isqrt(m))
+        primes = _sieved(limit)
+        # walk the shared snapshot in place; a slice would copy it per input
+        trial = islice(primes, bisect_right(primes, _SMALL_PRIMES[-1]), bisect_right(primes, limit))
+        for p in trial:
             if p * p > m:
                 break
             if m % p == 0:
@@ -163,7 +186,7 @@ def factorize(n: int, *, rho_seed: int = DEFAULT_RHO_SEED) -> Factorization:
     # any cofactor left here was proved prime above (or by p * p > m)
     if m > 1:
         powers[m] = powers.get(m, 0) + 1
-    return Factorization(tuple(sorted(powers.items())))
+    return powers
 
 
 def _rho_split(n: int, powers: dict[int, int], rng: SplitMix64) -> None:

@@ -8,13 +8,12 @@ lattice computation.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from typing import Sequence
 
 from . import lattice
-from .errors import DomainError
-from .factorization import factorize
+from .errors import DomainError, _integer
+from .factorization import _prime_powers, factorize
 from .lattice import ExponentVector, PrimeSupport, align, join, meet
 
 
@@ -92,18 +91,20 @@ def gcd_lcm_set(values: Sequence[int]) -> GcdLcmResult:
     same for -4 as for 4. Zero is rejected because max exponents (and with
     them the lcm) stop existing once zero joins the set.
 
-    Each value is factored once and its entries are folded in one pass into
-    the maximum exponent of every prime seen and the minimum over primes
-    common to all values, so the cost follows the factor entries rather
-    than the number of values times the joint support.
+    Each value is factored once and its prime-to-exponent map is folded in
+    one pass into the maximum exponent of every prime seen and the minimum
+    over primes common to all values, so the cost follows the factor
+    entries rather than the number of values times the joint support. The
+    maps are not wrapped in a Factorization each: PrimeSupport proves every
+    prime of the union once, and GcdLcmResult checks both reconstructions.
     """
-    vals = [_integer(v) for v in values]
+    vals = [_integer(v, "gcd/lcm require integers") for v in values]
     if not vals:
         raise DomainError("gcd/lcm of an empty set is undefined")
     for v in vals:
         if v == 0:
             raise DomainError("gcd/lcm require nonzero integers; zero admits no exponent vector")
-    tables = (factorize(abs(v)).as_dict() for v in vals)
+    tables = (_prime_powers(abs(v)) for v in vals)
     lows = next(tables)
     highs = dict(lows)
     for table in tables:
@@ -124,15 +125,6 @@ def gcd_lcm_set(values: Sequence[int]) -> GcdLcmResult:
     )
 
 
-def _integer(value: int) -> int:
-    if isinstance(value, bool):
-        raise DomainError(f"gcd/lcm require integers, got the bool {value!r}")
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise DomainError(f"gcd/lcm require integers, got {value!r}") from None
-
-
 def gcd_euclid(a: int, b: int) -> int:
     """Euclidean gcd by remainder alternation; no factoring involved."""
     a, b = abs(a), abs(b)
@@ -143,6 +135,8 @@ def gcd_euclid(a: int, b: int) -> int:
 
 def reduce_ratio(a: int, b: int) -> ReducedRatio:
     """Reduce a:b to lowest terms by dividing out the Euclidean gcd."""
+    a = _integer(a, "ratio terms must be integers")
+    b = _integer(b, "ratio terms must be integers")
     if a == 0 or b == 0:
         raise DomainError("ratio terms must be nonzero")
     a, b = abs(a), abs(b)

@@ -5,6 +5,13 @@ Two independent routes compute it: exhaustive enumeration of partitions
 which rests on the fact that some maximizing partition always consists of
 powers of distinct primes padded with ones. The growth-ratio table feeds
 the asymptotic comparison against sqrt(n log n).
+
+The knapsack runs only over primes up to 1.328 * sqrt(n log n) at the
+table's largest n: Grantham (Math. Comp. 64, 1995) bounds the largest
+prime dividing g(n) by that, building on the effective bounds of Massias,
+Nicolas and Robin (Math. Comp. 53, 1989). It fails at n = 2 and 3, so
+tables below 5 keep every prime. The tests check the bound, and the
+bounded table against an unbounded one, for every n up to DP_LIMIT.
 """
 
 from __future__ import annotations
@@ -14,7 +21,7 @@ import threading
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from .errors import DomainError, _positive_non_increasing
+from .errors import DomainError, _integer, _positive_non_increasing
 from .factorization import primes_up_to
 from .gcdlcm import gcd_lcm_set
 
@@ -73,6 +80,7 @@ def partitions(n: int) -> Iterator[Partition]:
     The first partition is (n,) and the last is all ones; n = 0 yields the
     single empty partition.
     """
+    n = _integer(n, "partitions require an integer n")
     if n < 0:
         raise DomainError(f"partitions are defined for nonnegative n, got {n}")
 
@@ -94,6 +102,7 @@ def partition_count(n: int) -> int:
     Shares no code with partitions(), which makes it an independent check
     on the enumeration.
     """
+    n = _integer(n, "partition counts require an integer n")
     if n < 0:
         raise DomainError(f"partition counts are defined for nonnegative n, got {n}")
     counts = [1] + [0] * n
@@ -122,6 +131,7 @@ def landau_bruteforce(n: int) -> LandauRecord:
     the exponent route. Partition counts grow superpolynomially, hence the
     hard limit.
     """
+    n = _integer(n, "brute force requires an integer n")
     if not 1 <= n <= BRUTE_FORCE_LIMIT:
         raise DomainError(f"brute force supports 1 <= n <= {BRUTE_FORCE_LIMIT}, got {n}")
     best = 0
@@ -141,8 +151,8 @@ class _DpTable:
 
     choices[i][b] stores the exponent picked for primes[i] at budget b, 0
     when that prime is skipped, which is enough to walk a witness back out.
-    Primes larger than a budget can never be picked for it, so one table
-    serves every n up to n_max at once.
+    Primes larger than a budget can never be picked for it, and the prime
+    bound grows with n, so one table serves every n up to n_max at once.
     """
 
     n_max: int
@@ -152,7 +162,10 @@ class _DpTable:
 
 
 def _build_table(n_max: int) -> _DpTable:
-    primes = primes_up_to(n_max)
+    # no prime above Grantham's bound divides g(n) for 4 <= n <= n_max, and
+    # at n_max >= 5 the bound is at least 3, which covers n = 2 and 3
+    bound = n_max if n_max < 5 else int(1.328 * math.sqrt(n_max * math.log(n_max)))
+    primes = primes_up_to(bound)
     values: list[int] = [1] * (n_max + 1)
     choices: list[bytes] = []
     for p in primes:
@@ -210,6 +223,7 @@ def _witness_parts(table: _DpTable, n: int) -> tuple[int, ...]:
 
 def landau_dp(n: int) -> LandauRecord:
     """Maximal lcm by dynamic programming over distinct prime powers."""
+    n = _integer(n, "dynamic program requires an integer n")
     if not 1 <= n <= DP_LIMIT:
         raise DomainError(f"dynamic program supports 1 <= n <= {DP_LIMIT}, got {n}")
     table = _dp_table(n)
@@ -220,6 +234,8 @@ def landau_dp(n: int) -> LandauRecord:
 
 def asymptotic_table(n_max: int, step: int = 1) -> list[LandauRecord]:
     """Records for n = 2, 2 + step, ... up to n_max."""
+    n_max = _integer(n_max, "table range requires an integer n_max")
+    step = _integer(step, "step must be an integer")
     if not 2 <= n_max <= DP_LIMIT:
         raise DomainError(f"table range must satisfy 2 <= n_max <= {DP_LIMIT}, got {n_max}")
     if step < 1:

@@ -134,6 +134,18 @@ class TestFactorize:
         assert factorize(1_000_003).entries == ((1_000_003, 1),)
         assert calls == [1_000_003, 1_000_003]
 
+    def test_trial_loop_reads_the_shared_sieve(self, monkeypatch):
+        # primes_up_to hands out a fresh list; the trial loop must not copy the sieve per input
+        def copying_primes_up_to(limit):
+            raise AssertionError(f"factorize copied the sieve up to {limit}")
+
+        monkeypatch.setattr(factorization, "primes_up_to", copying_primes_up_to)
+        assert factorize(1_000_003 * 1_000_033).entries == ((1_000_003, 1), (1_000_033, 1))
+        assert factorize(4_294_967_279 * 4_294_967_291).entries == (
+            (4_294_967_279, 1),
+            (4_294_967_291, 1),
+        )
+
     @given(st.integers(min_value=1, max_value=10**6))
     def test_roundtrip_small(self, n):
         assert reconstruct(factorize(n)) == n

@@ -89,6 +89,13 @@ def test_non_integers_are_rejected():
             gcd_lcm_set(values)
 
 
+@pytest.mark.parametrize("values", [[2**64, 3], [-(2**64), 3]])
+def test_values_beyond_64_bits_are_rejected(values):
+    # the fold reads raw prime maps, so the factorizer's range check is the only guard
+    with pytest.raises(DomainError, match=r"factorization supports inputs up to 2\*\*64 - 1"):
+        gcd_lcm_set(values)
+
+
 def test_integer_like_values_are_accepted():
     class Index:
         def __index__(self):

@@ -1,9 +1,11 @@
 import math
+from bisect import bisect_right
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from primelattice import landau
 from primelattice import (
     DomainError,
     LandauRecord,
@@ -15,6 +17,7 @@ from primelattice import (
     partition_count,
     partitions,
 )
+from primelattice.landau import DP_LIMIT
 
 # Classical table: largest lcm of any partition of n, for n = 0..23.
 KNOWN_VALUES = [1, 1, 2, 3, 4, 6, 6, 12, 15, 20, 30, 30, 60, 60, 84, 105, 140, 210, 210, 420, 420, 420, 420, 840]
@@ -157,6 +160,80 @@ class TestLandau:
 def test_dp_matches_bruteforce_extended_tier():
     for n in range(31, 61):
         assert landau_dp(n).value == landau_bruteforce(n).value, n
+
+
+def _unbounded_dp(n_max):
+    """The knapsack over every prime <= n_max, with no largest-prime bound.
+
+    Returns the values, the witness parts and the largest witness prime for
+    every n <= n_max. The primes come from a sieve of its own.
+    """
+    flags = bytearray([1]) * (n_max + 1)
+    flags[:2] = b"\x00\x00"
+    for p in range(2, math.isqrt(n_max) + 1):
+        if flags[p]:
+            flags[p * p :: p] = bytes(len(range(p * p, n_max + 1, p)))
+    primes = [p for p in range(n_max + 1) if flags[p]]
+    values = [1] * (n_max + 1)
+    rows = []
+    for p in primes:
+        row = bytearray(n_max + 1)
+        for budget in range(n_max, p - 1, -1):
+            best, picked = values[budget], 0
+            power, exponent = p, 1
+            while power <= budget:
+                if values[budget - power] * power > best:
+                    best, picked = values[budget - power] * power, exponent
+                power *= p
+                exponent += 1
+            if picked:
+                values[budget], row[budget] = best, picked
+        rows.append(row)
+    witnesses, largest = [], []
+    for n in range(n_max + 1):
+        parts, budget, top = [], n, 1
+        # a prime above n is never picked at budget n or below
+        for i in range(bisect_right(primes, n) - 1, -1, -1):
+            p, row = primes[i], rows[i]
+            if row[budget]:
+                parts.append(p ** row[budget])
+                budget -= parts[-1]
+                top = max(top, p)
+        witnesses.append(tuple(sorted(parts, reverse=True)) + (1,) * budget)
+        largest.append(top)
+    return values, witnesses, largest
+
+
+@pytest.fixture(scope="module")
+def unbounded():
+    return _unbounded_dp(DP_LIMIT)
+
+
+class TestPrimeBoundedDp:
+    def test_full_table_matches_unbounded_reference(self, unbounded):
+        values, witnesses, _ = unbounded
+        table = landau._dp_table(DP_LIMIT)
+        assert table.values == tuple(values)
+        for n in range(DP_LIMIT + 1):
+            assert landau._witness_parts(table, n) == witnesses[n], n
+
+    def test_smaller_tables_match_unbounded_reference(self, unbounded):
+        values, witnesses, _ = unbounded
+        for n_max in (2, 3, 4, 5, 6, 7, 10, 100, 1024, 3001):
+            table = landau._build_table(n_max)
+            assert table.values == tuple(values[: n_max + 1]), n_max
+            for n in range(n_max + 1):
+                assert landau._witness_parts(table, n) == witnesses[n], (n_max, n)
+
+    def test_witness_primes_obey_grantham_bound(self, unbounded):
+        _, _, largest = unbounded
+        for n in range(4, DP_LIMIT + 1):
+            assert largest[n] <= 1.328 * math.sqrt(n * math.log(n)), n
+
+    def test_bound_keeps_few_primes(self):
+        table = landau._dp_table(DP_LIMIT)
+        assert len(table.primes) == 79
+        assert table.primes[-1] == 401
 
 
 class TestLandauRecordType:
