@@ -1,24 +1,29 @@
-"""Prime factorization of 64-bit integers over a cached prime sieve.
+"""Prime factorization of 64-bit integers.
 
-Factoring runs in tiers: trial division by sieved primes strips small
-factors, a deterministic Miller-Rabin test (exact below 2**64) stops the
-scan as soon as the cofactor is prime, and Brent-cycle Pollard rho splits
-whatever survives with all factors above the trial range.
+Factoring runs in tiers: trial division by the primes up to TRIAL_CUTOFF
+strips small factors, a deterministic Miller-Rabin test (exact below 2**64)
+stops the scan as soon as the cofactor is prime, and Brent-cycle Pollard rho
+splits whatever survives with all factors above the trial range.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-import threading
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import islice
+from itertools import compress, islice
 
 from .errors import DomainError, _integer
 from .rng import SplitMix64
 
 MAX_INPUT = 2**64 - 1
-TRIAL_CUTOFF = 10**6
+# Rho finds a factor p in about sqrt(p) steps, so past about 10**4 it beats
+# trial division: on random 64-bit inputs, cutoffs from 10**3 to 3*10**4 ran
+# within about 10% of one another, and 10**6 at under half their rate.
+TRIAL_CUTOFF = 10**4
+# primes_up_to sieves per call; the cap bounds the memory a caller's limit buys.
+_SIEVE_CAP = 10**7
 DEFAULT_RHO_SEED = 0x517CC1B727220A95
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -61,44 +66,28 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _eratosthenes(limit: int) -> tuple[int, ...]:
+def _eratosthenes(limit: int) -> list[int]:
     flags = bytearray((1,)) * (limit + 1)
     flags[0:2] = b"\x00\x00"
     for p in range(2, math.isqrt(limit) + 1):
         if flags[p]:
             flags[p * p :: p] = bytearray(len(range(p * p, limit + 1, p)))
-    return tuple(i for i in range(2, limit + 1) if flags[i])
+    return list(compress(range(limit + 1), flags))
 
 
-_sieve_lock = threading.Lock()
-# grow-only; readers see an atomic (limit, primes) snapshot without the lock
-_sieve_state: tuple[int, tuple[int, ...]] = (1, ())
-
-
-def _sieved(limit: int) -> tuple[int, ...]:
-    """Return the shared ascending tuple of sieved primes, grown to cover limit.
-
-    The tuple may run past limit; callers bisect it instead of copying it.
-    """
-    global _sieve_state
-    lim, primes = _sieve_state
-    if limit > lim:
-        with _sieve_lock:
-            lim, primes = _sieve_state
-            if limit > lim:
-                # geometric growth amortizes repeated slightly-larger asks
-                lim = max(limit, 2 * lim, 1 << 10)
-                primes = _eratosthenes(lim)
-                _sieve_state = (lim, primes)
-    return primes
+@functools.cache
+def _trial_primes() -> tuple[int, ...]:
+    return tuple(_eratosthenes(TRIAL_CUTOFF))
 
 
 def primes_up_to(limit: int) -> list[int]:
-    """Return every prime <= limit in ascending order."""
+    """Return every prime <= limit in ascending order; limit may be at most 10**7."""
+    limit = _integer(limit, "primes_up_to requires an integer limit")
+    if limit > _SIEVE_CAP:
+        raise DomainError("primes_up_to sieves limits up to 10**7 only")
     if limit < 2:
         return []
-    primes = _sieved(limit)
-    return list(primes[: bisect_right(primes, limit)])
+    return _eratosthenes(limit)
 
 
 @dataclass(frozen=True)
@@ -164,8 +153,8 @@ def _prime_powers(n: int, rho_seed: int = DEFAULT_RHO_SEED) -> dict[int, int]:
             powers[p] = e
     if m > 1 and not is_prime(m):
         limit = min(TRIAL_CUTOFF, math.isqrt(m))
-        primes = _sieved(limit)
-        # walk the shared snapshot in place; a slice would copy it per input
+        primes = _trial_primes()
+        # walk the shared tuple in place; a slice would copy it per input
         trial = islice(primes, bisect_right(primes, _SMALL_PRIMES[-1]), bisect_right(primes, limit))
         for p in trial:
             if p * p > m:
