@@ -6,6 +6,15 @@ class DomainError(ValueError):
     """Raised when an input falls outside an operation's documented domain."""
 
 
+def _shown(value: int) -> str:
+    """Render an int for an error message: in decimal, or by its size once it
+    passes the digit limit str() enforces (sys.get_int_max_str_digits())."""
+    try:
+        return str(value)
+    except ValueError:
+        return f"a {'negative ' if value < 0 else ''}{value.bit_length()}-bit integer"
+
+
 def _integer(value: int, requirement: str) -> int:
     """Return value as an int, rejecting bools and anything without __index__;
     requirement opens the error message, e.g. "gcd/lcm require integers"."""
@@ -17,15 +26,22 @@ def _integer(value: int, requirement: str) -> int:
         raise DomainError(f"{requirement}, got {value!r}") from None
 
 
+def _integers(values: Iterable[int], noun: str) -> tuple[int, ...]:
+    """Return values as a tuple of ints, each under _integer's rules; noun names
+    them in the error message. Exact ints skip the call, which keeps hot
+    constructors cheap."""
+    return tuple(x if type(x) is int else _integer(x, f"{noun} must be integers") for x in values)
+
+
 def _positive_non_increasing(values: Iterable[int], noun: str) -> tuple[int, ...]:
-    """Return values as a tuple of ints, rejecting any that is not positive or
-    that exceeds its predecessor; noun names the values in the error message."""
-    result = tuple(int(x) for x in values)
+    """Return values as a tuple of ints, rejecting non-integers and any value not
+    positive or above its predecessor; noun names the values in error messages."""
+    result = _integers(values, noun)
     prev = None
     for x in result:
         if x < 1:
-            raise DomainError(f"{noun} must be positive, got {x}")
+            raise DomainError(f"{noun} must be positive, got {_shown(x)}")
         if prev is not None and x > prev:
-            raise DomainError(f"{noun} must be non-increasing, saw {x} after {prev}")
+            raise DomainError(f"{noun} must be non-increasing, saw {_shown(x)} after {_shown(prev)}")
         prev = x
     return result

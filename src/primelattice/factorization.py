@@ -1,20 +1,19 @@
 """Prime factorization of 64-bit integers.
 
-Factoring runs in tiers: trial division by the primes up to TRIAL_CUTOFF
-strips small factors, a deterministic Miller-Rabin test (exact below 2**64)
-stops the scan as soon as the cofactor is prime, and Brent-cycle Pollard rho
-splits whatever survives with all factors above the trial range.
+Factoring runs in one pass: a deterministic Miller-Rabin test (exact below
+2**64) checks the input and then each cofactor, trial division by the primes
+up to TRIAL_CUTOFF strips small factors until the cofactor is 1 or prime, and
+Brent-cycle Pollard rho splits whatever survives the trial range.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import compress, islice
+from itertools import compress
 
-from .errors import DomainError, _integer
+from .errors import DomainError, _integer, _integers, _shown
 from .rng import SplitMix64
 
 MAX_INPUT = 2**64 - 1
@@ -24,7 +23,7 @@ MAX_INPUT = 2**64 - 1
 TRIAL_CUTOFF = 10**4
 # primes_up_to sieves per call; the cap bounds the memory a caller's limit buys.
 _SIEVE_CAP = 10**7
-DEFAULT_RHO_SEED = 0x517CC1B727220A95
+_RHO_SEED = 0x517CC1B727220A95
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 # Witness set that makes Miller-Rabin exact for every n below 2**64.
@@ -38,7 +37,7 @@ def is_prime(n: int) -> bool:
     rejected because the fixed witness set is only proven below that.
     """
     if n > MAX_INPUT:
-        raise DomainError(f"primality test supports n < 2**64, got {n}")
+        raise DomainError(f"primality test supports n < 2**64, got {_shown(n)}")
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
@@ -101,14 +100,17 @@ class Factorization:
     entries: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self) -> None:
-        entries = tuple((int(p), int(e)) for p, e in self.entries)
+        entries = tuple(
+            (p, e) if type(p) is int and type(e) is int else _integers((p, e), "factorization entries")
+            for p, e in self.entries
+        )
         object.__setattr__(self, "entries", entries)
         last = 1
         for p, e in entries:
             if e < 1:
-                raise DomainError(f"exponent of {p} must be positive, got {e}")
+                raise DomainError(f"exponent of {_shown(p)} must be positive, got {_shown(e)}")
             if p <= last:
-                raise DomainError(f"primes must be strictly ascending, saw {p} after {last}")
+                raise DomainError(f"primes must be strictly ascending, saw {_shown(p)} after {last}")
             if not is_prime(p):
                 raise DomainError(f"{p} is not prime")
             last = p
@@ -122,41 +124,26 @@ def reconstruct(f: Factorization) -> int:
     return math.prod(p**e for p, e in f.entries)
 
 
-def factorize(n: int, *, rho_seed: int = DEFAULT_RHO_SEED) -> Factorization:
-    """Factor a positive integer up to 2**64 - 1.
-
-    The result is independent of rho_seed; the seed only steers how fast
-    Pollard rho happens to split hard semiprimes.
-    """
+def factorize(n: int) -> Factorization:
+    """Factor a positive integer up to 2**64 - 1."""
     n = _integer(n, "factorization requires an integer")
-    return Factorization(tuple(sorted(_prime_powers(n, rho_seed).items())))
+    return Factorization(tuple(sorted(_prime_powers(n).items())))
 
 
-def _prime_powers(n: int, rho_seed: int = DEFAULT_RHO_SEED) -> dict[int, int]:
+def _prime_powers(n: int) -> dict[int, int]:
     """Map each prime of an int n to its exponent, in no particular order.
 
     Every key is proved prime on the way (by Miller-Rabin, by the sieve, or
     by p * p > m), but the map is not wrapped in a validated Factorization.
     """
     if n < 1:
-        raise DomainError(f"factorization is defined for positive integers, got {n}")
+        raise DomainError(f"factorization is defined for positive integers, got {_shown(n)}")
     if n > MAX_INPUT:
-        raise DomainError(f"factorization supports inputs up to 2**64 - 1, got {n}")
+        raise DomainError(f"factorization supports inputs up to 2**64 - 1, got {_shown(n)}")
     powers: dict[int, int] = {}
     m = n
-    for p in _SMALL_PRIMES:
-        if m % p == 0:
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            powers[p] = e
-    if m > 1 and not is_prime(m):
-        limit = min(TRIAL_CUTOFF, math.isqrt(m))
-        primes = _trial_primes()
-        # walk the shared tuple in place; a slice would copy it per input
-        trial = islice(primes, bisect_right(primes, _SMALL_PRIMES[-1]), bisect_right(primes, limit))
-        for p in trial:
+    if not is_prime(m):
+        for p in _trial_primes():
             if p * p > m:
                 break
             if m % p == 0:
@@ -169,26 +156,22 @@ def _prime_powers(n: int, rho_seed: int = DEFAULT_RHO_SEED) -> dict[int, int]:
                 if m == 1 or is_prime(m):
                     break
         else:
-            # the trial list ran out with the cofactor still composite
-            _rho_split(m, powers, SplitMix64(rho_seed ^ (n * 0x9E3779B97F4A7C15)))
+            # the trial primes ran out with the cofactor still composite
+            rng = SplitMix64(_RHO_SEED ^ (n * 0x9E3779B97F4A7C15))
+            stack = [m]
             m = 1
+            while stack:
+                v = stack.pop()
+                d = _brent_rho(v, rng)
+                for f in (d, v // d):
+                    if is_prime(f):
+                        powers[f] = powers.get(f, 0) + 1
+                    else:
+                        stack.append(f)
     # any cofactor left here was proved prime above (or by p * p > m)
     if m > 1:
         powers[m] = powers.get(m, 0) + 1
     return powers
-
-
-def _rho_split(n: int, powers: dict[int, int], rng: SplitMix64) -> None:
-    # n is an odd composite with no factor below the trial range
-    stack = [n]
-    while stack:
-        v = stack.pop()
-        if is_prime(v):
-            powers[v] = powers.get(v, 0) + 1
-            continue
-        d = _brent_rho(v, rng)
-        stack.append(d)
-        stack.append(v // d)
 
 
 def _brent_rho(n: int, rng: SplitMix64) -> int:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from . import lattice
-from .errors import DomainError, _integer
+from .errors import DomainError, _integer, _shown
 from .factorization import _prime_powers, factorize
 from .lattice import ExponentVector, PrimeSupport, align, join, meet
 
@@ -47,7 +47,7 @@ class ReducedRatio:
         if self.left < 1 or self.right < 1:
             raise DomainError("reduced ratio terms must be positive")
         if gcd_euclid(self.left, self.right) != 1:
-            raise DomainError(f"{self.left}:{self.right} is not in lowest terms")
+            raise DomainError(f"{_shown(self.left)}:{_shown(self.right)} is not in lowest terms")
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ import threading
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from .errors import DomainError, _integer, _positive_non_increasing
+from .errors import DomainError, _integer, _positive_non_increasing, _shown
 from .factorization import primes_up_to
 from .gcdlcm import gcd_lcm_set
 
@@ -57,9 +57,9 @@ class LandauRecord:
 
     def __post_init__(self) -> None:
         if self.n < 1:
-            raise DomainError(f"defined for positive n, got {self.n}")
+            raise DomainError(f"defined for positive n, got {_shown(self.n)}")
         if self.witness.n != self.n:
-            raise DomainError(f"witness sums to {self.witness.n}, expected {self.n}")
+            raise DomainError(f"witness sums to {_shown(self.witness.n)}, expected {_shown(self.n)}")
         if gcd_lcm_set(list(self.witness.parts)).lcm != self.value:
             raise DomainError("witness lcm does not equal the reported value")
         if (self.ratio is None) != (self.n == 1):
@@ -82,7 +82,7 @@ def partitions(n: int) -> Iterator[Partition]:
     """
     n = _integer(n, "partitions require an integer n")
     if n < 0:
-        raise DomainError(f"partitions are defined for nonnegative n, got {n}")
+        raise DomainError(f"partitions are defined for nonnegative n, got {_shown(n)}")
 
     def descend(remaining: int, cap: int) -> Iterator[tuple[int, ...]]:
         if remaining == 0:
@@ -104,7 +104,7 @@ def partition_count(n: int) -> int:
     """
     n = _integer(n, "partition counts require an integer n")
     if n < 0:
-        raise DomainError(f"partition counts are defined for nonnegative n, got {n}")
+        raise DomainError(f"partition counts are defined for nonnegative n, got {_shown(n)}")
     counts = [1] + [0] * n
     for m in range(1, n + 1):
         total = 0
@@ -133,7 +133,7 @@ def landau_bruteforce(n: int) -> LandauRecord:
     """
     n = _integer(n, "brute force requires an integer n")
     if not 1 <= n <= BRUTE_FORCE_LIMIT:
-        raise DomainError(f"brute force supports 1 <= n <= {BRUTE_FORCE_LIMIT}, got {n}")
+        raise DomainError(f"brute force supports 1 <= n <= {BRUTE_FORCE_LIMIT}, got {_shown(n)}")
     best = 0
     witness = None
     for part in partitions(n):
@@ -225,7 +225,7 @@ def landau_dp(n: int) -> LandauRecord:
     """Maximal lcm by dynamic programming over distinct prime powers."""
     n = _integer(n, "dynamic program requires an integer n")
     if not 1 <= n <= DP_LIMIT:
-        raise DomainError(f"dynamic program supports 1 <= n <= {DP_LIMIT}, got {n}")
+        raise DomainError(f"dynamic program supports 1 <= n <= {DP_LIMIT}, got {_shown(n)}")
     table = _dp_table(n)
     value = table.values[n]
     witness = Partition(_witness_parts(table, n))
@@ -237,8 +237,8 @@ def asymptotic_table(n_max: int, step: int = 1) -> list[LandauRecord]:
     n_max = _integer(n_max, "table range requires an integer n_max")
     step = _integer(step, "step must be an integer")
     if not 2 <= n_max <= DP_LIMIT:
-        raise DomainError(f"table range must satisfy 2 <= n_max <= {DP_LIMIT}, got {n_max}")
+        raise DomainError(f"table range must satisfy 2 <= n_max <= {DP_LIMIT}, got {_shown(n_max)}")
     if step < 1:
-        raise DomainError(f"step must be positive, got {step}")
+        raise DomainError(f"step must be positive, got {_shown(step)}")
     _dp_table(n_max)
     return [landau_dp(n) for n in range(2, n_max + 1, step)]

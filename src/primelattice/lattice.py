@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import DomainError
+from .errors import DomainError, _integers, _shown
 from .factorization import Factorization, is_prime
 
 
@@ -24,12 +24,12 @@ class PrimeSupport:
     primes: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        primes = tuple(int(p) for p in self.primes)
+        primes = _integers(self.primes, "support primes")
         object.__setattr__(self, "primes", primes)
         last = 1
         for p in primes:
             if p <= last:
-                raise DomainError(f"support primes must be strictly ascending, saw {p} after {last}")
+                raise DomainError(f"support primes must be strictly ascending, saw {_shown(p)} after {last}")
             if not is_prime(p):
                 raise DomainError(f"{p} is not prime")
             last = p
@@ -46,7 +46,7 @@ class ExponentVector:
     exponents: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        exponents = tuple(int(e) for e in self.exponents)
+        exponents = _integers(self.exponents, "exponents")
         object.__setattr__(self, "exponents", exponents)
         if len(exponents) != len(self.support):
             raise DomainError(
@@ -54,7 +54,7 @@ class ExponentVector:
             )
         for p, e in zip(self.support.primes, exponents):
             if e < 0:
-                raise DomainError(f"exponent of {p} must be nonnegative, got {e}")
+                raise DomainError(f"exponent of {p} must be nonnegative, got {_shown(e)}")
 
 
 def _common_support(vectors: Sequence[ExponentVector]) -> PrimeSupport:

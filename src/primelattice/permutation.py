@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import DomainError, _integer, _positive_non_increasing
+from .errors import DomainError, _integer, _positive_non_increasing, _shown
 from .gcdlcm import gcd_lcm_set
 
 
@@ -26,7 +26,7 @@ class CycleDecomposition:
         lengths = _positive_non_increasing(self.cycle_lengths, "cycle lengths")
         object.__setattr__(self, "cycle_lengths", lengths)
         if sum(lengths) != self.n:
-            raise DomainError(f"cycle lengths sum to {sum(lengths)}, expected {self.n}")
+            raise DomainError(f"cycle lengths sum to {_shown(sum(lengths))}, expected {_shown(self.n)}")
 
 
 def _validate_one_line(perm: Sequence[int]) -> list[int]:
@@ -39,7 +39,7 @@ def _validate_one_line(perm: Sequence[int]) -> list[int]:
         if type(v) is not int and (isinstance(v, bool) or not isinstance(v, int)):
             raise DomainError(f"permutation entries must be integers, got {v!r} at position {i}")
         if not 1 <= v <= n:
-            raise DomainError(f"entry {v!r} at position {i} is outside 1..{n}")
+            raise DomainError(f"entry {_shown(v)} at position {i} is outside 1..{n}")
         if seen[v]:
             raise DomainError(f"entry {v} at position {i} repeats an earlier value")
         seen[v] = True
@@ -79,7 +79,7 @@ def verify_order(perm: Sequence[int], m: int) -> bool:
     """
     m = _integer(m, "order candidate must be an integer")
     if m < 1:
-        raise DomainError(f"order candidate must be positive, got {m}")
+        raise DomainError(f"order candidate must be positive, got {_shown(m)}")
     mapping = _validate_one_line(perm)
     n = len(mapping)
     identity = list(range(n))

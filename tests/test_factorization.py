@@ -81,6 +81,19 @@ class TestPrimesUpTo:
         assert ps == sorted(set(ps))
 
 
+@pytest.fixture
+def is_prime_calls(monkeypatch):
+    """The arguments of every is_prime call the factorization module makes."""
+    calls = []
+
+    def counting_is_prime(n):
+        calls.append(n)
+        return is_prime(n)
+
+    monkeypatch.setattr(factorization, "is_prime", counting_is_prime)
+    return calls
+
+
 class TestFactorize:
     def test_small_known_values(self):
         assert factorize(60).entries == ((2, 2), (3, 1), (5, 1))
@@ -118,21 +131,17 @@ class TestFactorize:
     def test_carmichael_561(self):
         assert factorize(561).entries == ((3, 1), (11, 1), (17, 1))
 
-    def test_result_is_independent_of_rho_seed(self):
-        n = (10**9 + 7) * (10**9 + 9)
-        assert factorize(n, rho_seed=1) == factorize(n, rho_seed=2**40 + 17)
-
-    def test_prime_cofactor_is_tested_once(self, monkeypatch):
+    def test_prime_cofactor_is_tested_once(self, is_prime_calls):
         # one test proves 1000003 prime, one more comes from Factorization's own check
-        calls = []
-
-        def counting_is_prime(n):
-            calls.append(n)
-            return is_prime(n)
-
-        monkeypatch.setattr(factorization, "is_prime", counting_is_prime)
         assert factorize(1_000_003).entries == ((1_000_003, 1),)
-        assert calls == [1_000_003, 1_000_003]
+        assert is_prime_calls == [1_000_003, 1_000_003]
+
+    def test_rho_input_proves_each_prime_once(self, is_prime_calls):
+        # one test finds the input composite; rho's two factors are tested once each
+        n = (10**9 + 7) * (10**9 + 9)
+        assert factorization._prime_powers(n) == {10**9 + 7: 1, 10**9 + 9: 1}
+        assert is_prime_calls[0] == n
+        assert sorted(is_prime_calls[1:]) == [10**9 + 7, 10**9 + 9]
 
     def test_trial_loop_reads_the_shared_sieve(self, monkeypatch):
         # primes_up_to hands out a fresh list; the trial loop must not copy the sieve per input

@@ -1,7 +1,11 @@
-"""Differential checks of factorize against sympy's factorint on inputs that
-trial division cannot finish, whose prime factors lie above TRIAL_CUTOFF so
-that Brent's rho has to split them, and on strong pseudoprimes, which fool
-Miller-Rabin with small bases. sympy is a test-only dependency."""
+"""Differential checks against sympy, a test-only dependency.
+
+factorize is compared with factorint on inputs that trial division cannot
+finish, whose prime factors lie above TRIAL_CUTOFF so that Brent's rho has
+to split them, and on strong pseudoprimes, which fool Miller-Rabin with small
+bases. is_prime, which every factorization starts with, is compared with
+isprime on 64-bit integers and on the composites built to fool primality
+tests: strong pseudoprimes, Carmichael numbers and squares of primes."""
 
 import math
 
@@ -9,7 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from primelattice import factorize
+from primelattice import factorize, is_prime
 from primelattice.factorization import MAX_INPUT, TRIAL_CUTOFF
 
 sympy = pytest.importorskip("sympy")
@@ -28,6 +32,7 @@ STRONG_PSEUDOPRIMES = (
 )
 
 LARGEST_PRIME_BELOW_1E6 = 999983
+LARGEST_64BIT_PRIME = 18446744073709551557
 
 
 def _primes_just_above(limit, span):
@@ -81,3 +86,40 @@ def test_strong_pseudoprime_to_bases_up_to_23():
 @given(st.sampled_from(STRONG_PSEUDOPRIMES).flatmap(_multiples))
 def test_strong_pseudoprimes_and_their_multiples(n):
     _matches_sympy(n)
+
+
+def _agrees_with_sympy(n):
+    assert is_prime(n) == sympy.isprime(n), n
+
+
+@given(
+    st.one_of(
+        st.integers(0, MAX_INPUT),
+        st.integers(0, LARGEST_64BIT_PRIME - 1).map(sympy.nextprime),
+    )
+)
+def test_is_prime_on_64bit_integers(n):
+    _agrees_with_sympy(n)
+
+
+@given(st.sampled_from(STRONG_PSEUDOPRIMES), st.integers(-64, 64))
+def test_is_prime_near_strong_pseudoprimes(psi, offset):
+    _agrees_with_sympy(psi + offset)
+
+
+def _chernick_carmichael(k):
+    # (6k + 1)(12k + 1)(18k + 1) is a Carmichael number once all three are prime
+    while not all(sympy.isprime(a * k + 1) for a in (6, 12, 18)):
+        k += 1
+    return (6 * k + 1) * (12 * k + 1) * (18 * k + 1)
+
+
+@given(st.integers(1, 200_000).map(_chernick_carmichael))
+def test_is_prime_on_carmichael_numbers(n):
+    assert n <= MAX_INPUT
+    _agrees_with_sympy(n)
+
+
+@given(_primes_just_above(TRIAL_CUTOFF, 2000).map(lambda p: p * p))
+def test_is_prime_on_squares_of_primes_above_the_cutoff(n):
+    _agrees_with_sympy(n)

@@ -1,10 +1,18 @@
 import pytest
 
 from primelattice import (
+    CycleDecomposition,
     DomainError,
+    ExponentVector,
+    Factorization,
+    Partition,
+    PrimeSupport,
     asymptotic_table,
+    check_product_identity,
     cycle_decompose,
     factorize,
+    gcd_lcm_set,
+    is_prime,
     landau_bruteforce,
     landau_dp,
     partition_count,
@@ -36,12 +44,48 @@ NON_INTEGER_CALLS = {
     "cycle_decompose-bool": lambda: cycle_decompose([True]),
     "verify_order-bool-entry": lambda: verify_order([True], 1),
     "verify_order-float-m": lambda: verify_order([2, 1], 2.0),
+    # the domain types used to truncate these with int()
+    "Factorization-float": lambda: Factorization(((2.9, 1.5),)),
+    "Factorization-bool": lambda: Factorization(((2, True),)),
+    "PrimeSupport-float": lambda: PrimeSupport((3.7,)),
+    "ExponentVector-float": lambda: ExponentVector(PrimeSupport((2,)), (0.5,)),
+    "Partition-float": lambda: Partition((2.5, 2.5)),
+    "Partition-bool": lambda: Partition((True,)),
+    "CycleDecomposition-float": lambda: CycleDecomposition(n=4, cycle_lengths=(2.9, 2.1)),
 }
 
 
 @pytest.mark.parametrize("call", NON_INTEGER_CALLS.values(), ids=NON_INTEGER_CALLS.keys())
 def test_public_entries_reject_non_integers(call):
     with pytest.raises(DomainError, match="integer"):
+        call()
+
+
+HUGE = 10**5000
+
+# str() refuses ints past 4300 digits, so a message quoting one used to end
+# in a bare ValueError instead of the DomainError it was building
+HUGE_INTEGER_CALLS = {
+    "factorize": lambda: factorize(HUGE),
+    "gcd_lcm_set": lambda: gcd_lcm_set([HUGE, 3]),
+    "is_prime": lambda: is_prime(HUGE),
+    "check_product_identity": lambda: check_product_identity(HUGE, 3),
+    "Factorization": lambda: Factorization(((HUGE, 1),)),
+    "PrimeSupport": lambda: PrimeSupport((HUGE,)),
+    "Partition": lambda: Partition((1, HUGE)),
+    "CycleDecomposition": lambda: CycleDecomposition(n=4, cycle_lengths=(HUGE,)),
+    "landau_dp": lambda: landau_dp(HUGE),
+    "landau_bruteforce": lambda: landau_bruteforce(HUGE),
+    "asymptotic_table": lambda: asymptotic_table(HUGE),
+    "partitions": lambda: list(partitions(-HUGE)),
+    "partition_count": lambda: partition_count(-HUGE),
+    "verify_order-m": lambda: verify_order([2, 1], -HUGE),
+}
+
+
+@pytest.mark.parametrize("call", HUGE_INTEGER_CALLS.values(), ids=HUGE_INTEGER_CALLS.keys())
+def test_public_entries_reject_huge_integers(call):
+    with pytest.raises(DomainError, match="16610-bit integer"):
         call()
 
 
