@@ -72,14 +72,25 @@ class _Output(NamedTuple):
 def _decimal_int(text: str) -> int:
     if not _DECIMAL.fullmatch(text):
         raise argparse.ArgumentTypeError(f"expected a decimal integer, got {text!r}")
-    return int(text)
+    return _parse_decimal(text)
 
 
 def _decimal_int_list(text: str) -> list[int]:
     items = text.split(",")
     if not all(_DECIMAL.fullmatch(item) for item in items):
         raise argparse.ArgumentTypeError(f"expected comma-separated decimal integers, got {text!r}")
-    return [int(item) for item in items]
+    return [_parse_decimal(item) for item in items]
+
+
+def _parse_decimal(item: str) -> int:
+    try:
+        return int(item)
+    except ValueError:
+        # a matched item fails only on int()'s digit limit; name the size, not the digits
+        digits = len(item.lstrip("-"))
+        raise argparse.ArgumentTypeError(
+            f"integer has {digits} digits; at most {sys.get_int_max_str_digits()} are supported"
+        ) from None
 
 
 def _format_ratio(ratio: float | None) -> str:

@@ -1,8 +1,13 @@
 """Prime factorization of 64-bit integers.
 
-Factoring runs in one pass: a deterministic Miller-Rabin test (exact below
-2**64) checks the input and then each cofactor, trial division by the primes
-up to TRIAL_CUTOFF strips small factors until the cofactor is 1 or prime, and
+Every n <= TRIAL_CUTOFF is looked up in one smallest-prime-factor table,
+built on first use. Above the table, Miller-Rabin runs with the smallest
+witness set proven for n's range: (2, 3) below 1,373,653 (Pomerance,
+Selfridge and Wagstaff 1980), (2, 7, 61) below 4,759,123,141 and
+(2, 13, 23, 1662803) below 1,122,004,669,633 (Jaeschke 1993), and a 7-base
+set exact below 2**64 past that. Factoring runs in one pass: the input is
+tested, trial division by the table's primes strips small factors until
+the cofactor is 1, prime, or small enough to finish from the table, and
 Brent-cycle Pollard rho splits whatever survives the trial range.
 """
 
@@ -10,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import math
+from array import array
 from dataclasses import dataclass
 from itertools import compress
 
@@ -26,33 +32,40 @@ _SIEVE_CAP = 10**7
 _RHO_SEED = 0x517CC1B727220A95
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-# Witness set that makes Miller-Rabin exact for every n below 2**64.
-_MR_BASES = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
+# (bound, bases): Miller-Rabin with these bases is exact for every n < bound.
+# A set meets only n from the bound before it (or TRIAL_CUTOFF) up, so each
+# base is below every n it meets and never reduces to 0 mod n.
+_MR_WITNESSES = (
+    (1_373_653, (2, 3)),
+    (4_759_123_141, (2, 7, 61)),
+    (1_122_004_669_633, (2, 13, 23, 1662803)),
+    (MAX_INPUT + 1, (2, 325, 9375, 28178, 450775, 9780504, 1795265022)),
+)
 
 
 def is_prime(n: int) -> bool:
     """Return True iff n has exactly two positive divisors.
 
     Deterministic over the supported range; values of 2**64 and above are
-    rejected because the fixed witness set is only proven below that.
+    rejected because no witness set is proven past that, and so are
+    non-integers and bools.
     """
+    if type(n) is not int:
+        n = _integer(n, "primality test requires an integer")
+    if n <= TRIAL_CUTOFF:
+        return n >= 2 and _small_table()[0][n] == n
     if n > MAX_INPUT:
         raise DomainError(f"primality test supports n < 2**64, got {_shown(n)}")
-    if n < 2:
-        return False
     for p in _SMALL_PRIMES:
         if n % p == 0:
-            return n == p
-    if n < 41 * 41:
-        # no small prime divides n, and any composite this size would have one
-        return True
+            return False
+    for bound, bases in _MR_WITNESSES:
+        if n < bound:
+            break
     d = n - 1
     s = (d & -d).bit_length() - 1
     d >>= s
-    for base in _MR_BASES:
-        a = base % n
-        if a == 0:
-            continue
+    for a in bases:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -75,8 +88,18 @@ def _eratosthenes(limit: int) -> list[int]:
 
 
 @functools.cache
-def _trial_primes() -> tuple[int, ...]:
-    return tuple(_eratosthenes(TRIAL_CUTOFF))
+def _small_table() -> tuple[array, tuple[int, ...]]:
+    """The smallest prime factor of every n <= TRIAL_CUTOFF (0 at 0 and 1),
+    about 20 KB, and the primes in that range, which feed the trial loop."""
+    primes = tuple(_eratosthenes(TRIAL_CUTOFF))
+    spf = array("H", bytes(2 * (TRIAL_CUTOFF + 1)))
+    for p in primes:
+        spf[p] = p
+    # a composite n has a prime factor p with p * p <= n; the largest such p
+    # goes first, so each smaller one overwrites the multiples they share
+    for p in reversed([p for p in primes if p * p <= TRIAL_CUTOFF]):
+        spf[p * p :: p] = array("H", (p,)) * len(range(p * p, TRIAL_CUTOFF + 1, p))
+    return spf, primes
 
 
 def primes_up_to(limit: int) -> list[int]:
@@ -133,17 +156,18 @@ def factorize(n: int) -> Factorization:
 def _prime_powers(n: int) -> dict[int, int]:
     """Map each prime of an int n to its exponent, in no particular order.
 
-    Every key is proved prime on the way (by Miller-Rabin, by the sieve, or
+    Every key is proved prime on the way (by the table, by Miller-Rabin, or
     by p * p > m), but the map is not wrapped in a validated Factorization.
     """
     if n < 1:
         raise DomainError(f"factorization is defined for positive integers, got {_shown(n)}")
     if n > MAX_INPUT:
         raise DomainError(f"factorization supports inputs up to 2**64 - 1, got {_shown(n)}")
+    spf, primes = _small_table()
     powers: dict[int, int] = {}
     m = n
-    if not is_prime(m):
-        for p in _trial_primes():
+    if m > TRIAL_CUTOFF and not is_prime(m):
+        for p in primes:
             if p * p > m:
                 break
             if m % p == 0:
@@ -152,8 +176,8 @@ def _prime_powers(n: int) -> dict[int, int]:
                     m //= p
                     e += 1
                 powers[p] = e
-                # once the cofactor is prime the rest of the scan is wasted
-                if m == 1 or is_prime(m):
+                # the table finishes a small cofactor, and a prime one ends the scan
+                if m <= TRIAL_CUTOFF or is_prime(m):
                     break
         else:
             # the trial primes ran out with the cofactor still composite
@@ -168,9 +192,14 @@ def _prime_powers(n: int) -> dict[int, int]:
                         powers[f] = powers.get(f, 0) + 1
                     else:
                         stack.append(f)
-    # any cofactor left here was proved prime above (or by p * p > m)
-    if m > 1:
-        powers[m] = powers.get(m, 0) + 1
+    if m > TRIAL_CUTOFF:
+        # proved prime above (or by p * p > m), and above every stripped prime
+        powers[m] = 1
+    else:
+        while m > 1:
+            p = spf[m]
+            powers[p] = powers.get(p, 0) + 1
+            m //= p
     return powers
 
 

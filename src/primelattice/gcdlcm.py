@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from . import lattice
-from .errors import DomainError, _integer, _shown
+from .errors import DomainError, _integer, _integers, _shown
 from .factorization import _prime_powers, factorize
 from .lattice import ExponentVector, PrimeSupport, align, join, meet
 
@@ -44,6 +44,10 @@ class ReducedRatio:
     right: int
 
     def __post_init__(self) -> None:
+        if type(self.left) is not int or type(self.right) is not int:
+            left, right = _integers((self.left, self.right), "reduced ratio terms")
+            object.__setattr__(self, "left", left)
+            object.__setattr__(self, "right", right)
         if self.left < 1 or self.right < 1:
             raise DomainError("reduced ratio terms must be positive")
         if gcd_euclid(self.left, self.right) != 1:

@@ -23,6 +23,8 @@ class CycleDecomposition:
     cycle_lengths: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        if type(self.n) is not int:
+            object.__setattr__(self, "n", _integer(self.n, "cycle decomposition size must be an integer"))
         lengths = _positive_non_increasing(self.cycle_lengths, "cycle lengths")
         object.__setattr__(self, "cycle_lengths", lengths)
         if sum(lengths) != self.n:

@@ -108,6 +108,24 @@ class TestNumberParsing:
     def test_leading_zeros_parse_as_decimal(self):
         assert run_cli(["factor", "007"])[1] == "7 = 7\n"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["factor", "1" * 5001], ["gcd", "6", "-" + "9" * 5001], ["order", "--cycles", "2," + "3" * 5001]],
+        ids=["factor", "gcd-negative", "cycles-list"],
+    )
+    def test_integers_past_the_digit_limit(self, argv):
+        # int() refuses these; the message used to name the private converter
+        # and echo every digit
+        code, out, err = run_cli(argv)
+        assert code == 1
+        assert out == ""
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1
+        assert "5001 digits" in errors[0]
+        assert len(err) < 400
+        assert "Traceback" not in err
+        assert "_decimal" not in err and "_parse" not in err
+
 
 class TestFormats:
     def test_json_key_order_is_stable(self):

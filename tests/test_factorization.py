@@ -17,6 +17,45 @@ MERSENNE_PRIME_61 = 2**61 - 1
 CARMICHAELS = [561, 1105, 1729, 2465, 2821, 6601, 8911, 10585, 15841, 29341, 41041, 9746347772161]
 
 
+# The first strong pseudoprime to each witness set is_prime uses below 2**64,
+# with the set's bases: each is the exclusive bound of its set's range.
+FIRST_STRONG_PSEUDOPRIMES = {
+    829 * 1657: (2, 3),
+    48_781 * 97_561: (2, 7, 61),
+    611_557 * 1_834_669: (2, 13, 23, 1662803),
+}
+
+
+def _sieve(limit: int) -> bytearray:
+    flags = bytearray([1]) * (limit + 1)
+    flags[0] = flags[1] = 0
+    for p in range(2, int(limit**0.5) + 1):
+        if flags[p]:
+            flags[p * p :: p] = bytes(len(range(p * p, limit + 1, p)))
+    return flags
+
+
+def _strong_probable_prime(n: int, a: int) -> bool:
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(a, d, n)
+    return x in (1, n - 1) or any(pow(x, 2**r, n) == n - 1 for r in range(1, s))
+
+
+def _trial_division_powers(n: int) -> dict[int, int]:
+    powers: dict[int, int] = {}
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            powers[d] = powers.get(d, 0) + 1
+            n //= d
+        d += 1
+    if n > 1:
+        powers[n] = powers.get(n, 0) + 1
+    return powers
+
+
 def _trial_division_is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -56,6 +95,17 @@ class TestIsPrime:
         assert not is_prime(0)
         assert not is_prime(1)
         assert is_prime(2)
+
+    def test_matches_a_sieve_up_to_2e6(self):
+        # the table up to TRIAL_CUTOFF, then the two- and three-base ranges
+        flags = _sieve(2 * 10**6)
+        assert [n for n in range(2 * 10**6 + 1) if is_prime(n) != flags[n]] == []
+
+    @pytest.mark.parametrize("n", FIRST_STRONG_PSEUDOPRIMES, ids=str)
+    def test_first_strong_pseudoprime_of_each_witness_set(self, n):
+        # n fools its own set, so the next set has to take it
+        assert all(_strong_probable_prime(n, a) for a in FIRST_STRONG_PSEUDOPRIMES[n])
+        assert not is_prime(n)
 
 
 class TestPrimesUpTo:
@@ -154,6 +204,12 @@ class TestFactorize:
             (4_294_967_279, 1),
             (4_294_967_291, 1),
         )
+
+    def test_prime_powers_match_trial_division_up_to_3e4(self):
+        # n <= TRIAL_CUTOFF comes from the table; above it, the trial loop hands
+        # every cofactor that falls to TRIAL_CUTOFF or below to the table
+        for n in range(1, 3 * 10**4 + 1):
+            assert factorization._prime_powers(n) == _trial_division_powers(n), n
 
     @given(st.integers(min_value=1, max_value=10**6))
     def test_roundtrip_small(self, n):

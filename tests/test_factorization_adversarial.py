@@ -102,6 +102,36 @@ def test_is_prime_on_64bit_integers(n):
     _agrees_with_sympy(n)
 
 
+# is_prime's witness ranges above TRIAL_CUTOFF: the smallest proven set for
+# each, then the 7-base set up to 2**64
+WITNESS_BOUNDS = (1_373_653, 4_759_123_141, 1_122_004_669_633)
+WITNESS_RANGES = tuple(zip((TRIAL_CUTOFF + 1,) + WITNESS_BOUNDS, WITNESS_BOUNDS + (MAX_INPUT + 1,)))
+
+
+@given(st.sampled_from(WITNESS_RANGES).flatmap(lambda r: st.integers(r[0], r[1] - 1)))
+def test_is_prime_in_each_witness_range(n):
+    _agrees_with_sympy(n)
+
+
+def _primes_in(r):
+    return st.integers(r[0], r[1] - 1).map(sympy.nextprime).filter(lambda p: p < r[1])
+
+
+@given(st.sampled_from(WITNESS_RANGES).flatmap(_primes_in))
+def test_is_prime_on_primes_in_each_witness_range(n):
+    _agrees_with_sympy(n)
+
+
+@pytest.mark.parametrize("bound", WITNESS_BOUNDS + (TRIAL_CUTOFF,), ids=str)
+def test_is_prime_on_either_side_of_each_bound(bound):
+    below, above = bound, bound
+    for _ in range(5):
+        below, above = sympy.prevprime(below), sympy.nextprime(above)
+        assert is_prime(below) and is_prime(above), (below, above)
+    for n in range(bound - 300, bound + 300):
+        _agrees_with_sympy(n)
+
+
 @given(st.sampled_from(STRONG_PSEUDOPRIMES), st.integers(-64, 64))
 def test_is_prime_near_strong_pseudoprimes(psi, offset):
     _agrees_with_sympy(psi + offset)

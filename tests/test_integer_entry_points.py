@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from primelattice import (
@@ -5,8 +7,10 @@ from primelattice import (
     DomainError,
     ExponentVector,
     Factorization,
+    LandauRecord,
     Partition,
     PrimeSupport,
+    ReducedRatio,
     asymptotic_table,
     check_product_identity,
     cycle_decompose,
@@ -52,6 +56,18 @@ NON_INTEGER_CALLS = {
     "Partition-float": lambda: Partition((2.5, 2.5)),
     "Partition-bool": lambda: Partition((True,)),
     "CycleDecomposition-float": lambda: CycleDecomposition(n=4, cycle_lengths=(2.9, 2.1)),
+    # is_prime took these as the integer they compare equal to, or called
+    # 10.5 prime; the scalar fields kept a float or bool as given
+    "is_prime-float": lambda: is_prime(7.0),
+    "is_prime-fraction": lambda: is_prime(10.5),
+    "is_prime-bool": lambda: is_prime(True),
+    "CycleDecomposition-n-float": lambda: CycleDecomposition(n=4.0, cycle_lengths=(2, 2)),
+    "LandauRecord-n-float": lambda: LandauRecord(
+        n=5.0, value=6, witness=Partition((3, 2)), ratio=math.log(6) / math.sqrt(5 * math.log(5))
+    ),
+    "LandauRecord-value-bool": lambda: LandauRecord(n=1, value=True, witness=Partition((1,)), ratio=None),
+    "ReducedRatio-float": lambda: ReducedRatio(1.0, 2),
+    "ReducedRatio-bool": lambda: ReducedRatio(2, True),
 }
 
 
@@ -79,6 +95,7 @@ HUGE_INTEGER_CALLS = {
     "asymptotic_table": lambda: asymptotic_table(HUGE),
     "partitions": lambda: list(partitions(-HUGE)),
     "partition_count": lambda: partition_count(-HUGE),
+    "partition_count-above-cap": lambda: partition_count(HUGE),
     "verify_order-m": lambda: verify_order([2, 1], -HUGE),
 }
 
@@ -87,6 +104,12 @@ HUGE_INTEGER_CALLS = {
 def test_public_entries_reject_huge_integers(call):
     with pytest.raises(DomainError, match="16610-bit integer"):
         call()
+
+
+def test_partition_count_caps_n_before_allocating():
+    # 2**63 used to end in a bare OverflowError from the n + 1 entry table
+    with pytest.raises(DomainError, match="n <= 10000, got 9223372036854775808"):
+        partition_count(2**63)
 
 
 def test_primes_up_to_caps_the_limit_before_sieving(monkeypatch):
