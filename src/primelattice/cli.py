@@ -41,6 +41,8 @@ _ORDER_CHECK_BUDGET = 10**6
 _DISTRIBUTIVE_MAX = 2**32 - 1
 
 _DECIMAL = re.compile(r"-?[0-9]+")
+# a malformed argument is quoted up to this many characters, then by its length
+_QUOTE_LIMIT = 20
 
 
 class _ParserExit(Exception):
@@ -71,15 +73,22 @@ class _Output(NamedTuple):
 
 def _decimal_int(text: str) -> int:
     if not _DECIMAL.fullmatch(text):
-        raise argparse.ArgumentTypeError(f"expected a decimal integer, got {text!r}")
+        raise argparse.ArgumentTypeError(f"expected a decimal integer, got {_quoted(text)}")
     return _parse_decimal(text)
 
 
 def _decimal_int_list(text: str) -> list[int]:
     items = text.split(",")
     if not all(_DECIMAL.fullmatch(item) for item in items):
-        raise argparse.ArgumentTypeError(f"expected comma-separated decimal integers, got {text!r}")
+        raise argparse.ArgumentTypeError(f"expected comma-separated decimal integers, got {_quoted(text)}")
     return [_parse_decimal(item) for item in items]
+
+
+def _quoted(text: str) -> str:
+    """Quote an argument for an error message; a long one by a prefix and its length."""
+    if len(text) <= _QUOTE_LIMIT:
+        return repr(text)
+    return f"{text[:_QUOTE_LIMIT]!r}... ({len(text)} characters)"
 
 
 def _parse_decimal(item: str) -> int:

@@ -1,14 +1,22 @@
 """Prime factorization of 64-bit integers.
 
 Every n <= TRIAL_CUTOFF is looked up in one smallest-prime-factor table,
-built on first use. Above the table, Miller-Rabin runs with the smallest
-witness set proven for n's range: (2, 3) below 1,373,653 (Pomerance,
-Selfridge and Wagstaff 1980), (2, 7, 61) below 4,759,123,141 and
-(2, 13, 23, 1662803) below 1,122,004,669,633 (Jaeschke 1993), and a 7-base
-set exact below 2**64 past that. Factoring runs in one pass: the input is
-tested, trial division by the table's primes strips small factors until
-the cofactor is 1, prime, or small enough to finish from the table, and
-Brent-cycle Pollard rho splits whatever survives the trial range.
+built on first use. Above it, a second, grow-only table holds the smallest
+prime factor of each odd n up to a limit (0 where n is prime), at most
+_SPF_CAP = 10**6: one uint16 per odd n, about 1 MB at the cap. Only an
+input to factoring up to _SPF_CAP grows it, when its odd part lies past
+both tables, to that odd part or twice the old limit, whichever is larger;
+so its size follows the inputs seen. Primality tests and the cofactors of
+larger inputs only read what is there, and a program that factors only
+64-bit values never builds it. Past both tables, Miller-Rabin runs with
+the smallest witness set proven for n's range: (2, 3) below 1,373,653
+(Pomerance, Selfridge and Wagstaff 1980), (2, 7, 61) below 4,759,123,141
+and (2, 13, 23, 1662803) below 1,122,004,669,633 (Jaeschke 1993), and a
+7-base set exact below 2**64 past that. An input up to _SPF_CAP loses its
+2s by a bit trick and its odd part comes apart by lookups. Any larger one
+is tested, trial division by the small table's primes strips small factors
+until the cofactor is 1, prime, or small enough to finish from the table,
+and Brent-cycle Pollard rho splits whatever survives the trial range.
 """
 
 from __future__ import annotations
@@ -30,6 +38,13 @@ TRIAL_CUTOFF = 10**4
 # primes_up_to sieves per call; the cap bounds the memory a caller's limit buys.
 _SIEVE_CAP = 10**7
 _RHO_SEED = 0x517CC1B727220A95
+# Every odd composite n <= 10**6 has a prime factor <= 999, so uint16 holds it.
+_SPF_CAP = 10**6
+# The smallest prime factor of odd n at index n >> 1, 0 where n is prime; it
+# covers every n <= 2 * len(_odd_spf) - 1. Growth builds a new array and then
+# rebinds this name, so a reader that takes one local reference sees a whole
+# table; two threads growing at once only build it twice.
+_odd_spf = array("H")
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 # (bound, bases): Miller-Rabin with these bases is exact for every n < bound.
@@ -54,6 +69,9 @@ def is_prime(n: int) -> bool:
         n = _integer(n, "primality test requires an integer")
     if n <= TRIAL_CUTOFF:
         return n >= 2 and _small_table()[0][n] == n
+    odd_spf = _odd_spf
+    if n >> 1 < len(odd_spf):
+        return n & 1 == 1 and not odd_spf[n >> 1]
     if n > MAX_INPUT:
         raise DomainError(f"primality test supports n < 2**64, got {_shown(n)}")
     for p in _SMALL_PRIMES:
@@ -100,6 +118,23 @@ def _small_table() -> tuple[array, tuple[int, ...]]:
     for p in reversed([p for p in primes if p * p <= TRIAL_CUTOFF]):
         spf[p * p :: p] = array("H", (p,)) * len(range(p * p, TRIAL_CUTOFF + 1, p))
     return spf, primes
+
+
+def _grow_odd_spf(n: int) -> array:
+    """Rebuild _odd_spf to cover an odd n, and at least twice its old limit,
+    but never past _SPF_CAP; return the new table."""
+    global _odd_spf
+    limit = min(_SPF_CAP, max(n, 2 * (2 * len(_odd_spf) - 1)))
+    size = (limit + 1) >> 1
+    odd_spf = array("H", bytes(2 * size))
+    # as in _small_table: the largest prime goes first, so each smaller one
+    # overwrites the odd multiples they share; n = p * p + 2 * k * p sits at
+    # index (p * p >> 1) + k * p
+    for p in reversed([p for p in _small_table()[1][1:] if p * p <= limit]):
+        start = p * p >> 1
+        odd_spf[start::p] = array("H", (p,)) * len(range(start, size, p))
+    _odd_spf = odd_spf
+    return odd_spf
 
 
 def primes_up_to(limit: int) -> list[int]:
@@ -166,7 +201,21 @@ def _prime_powers(n: int) -> dict[int, int]:
     spf, primes = _small_table()
     powers: dict[int, int] = {}
     m = n
-    if m > TRIAL_CUTOFF and not is_prime(m):
+    if TRIAL_CUTOFF < m <= _SPF_CAP:
+        e = (m & -m).bit_length() - 1
+        if e:
+            powers[2] = e
+            m >>= e
+        if m > TRIAL_CUTOFF:
+            # the odd part sizes the table; its smallest prime factors come
+            # off one lookup each until the small table can finish
+            odd_spf = _odd_spf
+            if m >> 1 >= len(odd_spf):
+                odd_spf = _grow_odd_spf(m)
+            while m > TRIAL_CUTOFF and (p := odd_spf[m >> 1]):
+                powers[p] = powers.get(p, 0) + 1
+                m //= p
+    elif m > TRIAL_CUTOFF and not is_prime(m):
         for p in primes:
             if p * p > m:
                 break
@@ -193,7 +242,8 @@ def _prime_powers(n: int) -> dict[int, int]:
                     else:
                         stack.append(f)
     if m > TRIAL_CUTOFF:
-        # proved prime above (or by p * p > m), and above every stripped prime
+        # proved prime above (by a table, a test or p * p > m), and above
+        # every stripped prime
         powers[m] = 1
     else:
         while m > 1:

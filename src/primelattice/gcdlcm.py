@@ -28,6 +28,10 @@ class GcdLcmResult:
     max_exponents: ExponentVector
 
     def __post_init__(self) -> None:
+        if type(self.gcd) is not int or type(self.lcm) is not int:
+            gcd, lcm = _integers((self.gcd, self.lcm), "gcd and lcm")
+            object.__setattr__(self, "gcd", gcd)
+            object.__setattr__(self, "lcm", lcm)
         if lattice.reconstruct(self.min_exponents) != self.gcd:
             raise DomainError("gcd does not match its exponent vector")
         if lattice.reconstruct(self.max_exponents) != self.lcm:

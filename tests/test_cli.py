@@ -126,6 +126,31 @@ class TestNumberParsing:
         assert "Traceback" not in err
         assert "_decimal" not in err and "_parse" not in err
 
+    @pytest.mark.parametrize(
+        "argv, length",
+        [
+            (["factor", "1" * 3000 + "x"], 3001),
+            (["order", "--cycles", ",".join(["2"] * 2000) + ",x"], 4001),
+            (["gcd", "6", "\x01" * 2000], 2000),
+        ],
+        ids=["factor", "cycles-list", "control-characters"],
+    )
+    def test_malformed_arguments_are_quoted_by_a_prefix(self, argv, length):
+        # the whole argument used to be echoed: 3,137 bytes of stderr for the first
+        code, out, err = run_cli(argv)
+        assert code == 1
+        assert out == ""
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1
+        assert f"({length} characters)" in errors[0]
+        assert len(errors[0].encode()) < 300
+        assert "Traceback" not in err
+
+    def test_short_malformed_arguments_are_quoted_whole(self):
+        code, _, err = run_cli(["factor", "12x"])
+        assert code == 1
+        assert err.splitlines()[-1].endswith("expected a decimal integer, got '12x'")
+
 
 class TestFormats:
     def test_json_key_order_is_stable(self):

@@ -1,10 +1,14 @@
+import math
+import sys
+import threading
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from primelattice import DomainError, Factorization, factorize, is_prime, primes_up_to, reconstruct
 from primelattice import factorization
-from primelattice.factorization import MAX_INPUT
+from primelattice.factorization import _SPF_CAP, MAX_INPUT, TRIAL_CUTOFF
 
 # Mersenne number 2**59 - 1 and its classical two-prime splitting.
 M59 = 2**59 - 1
@@ -56,6 +60,11 @@ def _trial_division_powers(n: int) -> dict[int, int]:
     return powers
 
 
+def _odd_spf_limit() -> int:
+    """The largest odd n the grown table covers; -1 while it is empty."""
+    return 2 * len(factorization._odd_spf) - 1
+
+
 def _trial_division_is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -96,8 +105,15 @@ class TestIsPrime:
         assert not is_prime(1)
         assert is_prime(2)
 
-    def test_matches_a_sieve_up_to_2e6(self):
+    def test_matches_a_sieve_up_to_2e6(self, empty_odd_spf):
         # the table up to TRIAL_CUTOFF, then the two- and three-base ranges
+        flags = _sieve(2 * 10**6)
+        assert [n for n in range(2 * 10**6 + 1) if is_prime(n) != flags[n]] == []
+
+    def test_matches_a_sieve_up_to_2e6_with_the_odd_table_grown(self, empty_odd_spf):
+        # lookups up to _SPF_CAP, then Miller-Rabin past it
+        factorize(_SPF_CAP - 1)
+        assert _odd_spf_limit() == _SPF_CAP - 1
         flags = _sieve(2 * 10**6)
         assert [n for n in range(2 * 10**6 + 1) if is_prime(n) != flags[n]] == []
 
@@ -205,11 +221,21 @@ class TestFactorize:
             (4_294_967_291, 1),
         )
 
-    def test_prime_powers_match_trial_division_up_to_3e4(self):
-        # n <= TRIAL_CUTOFF comes from the table; above it, the trial loop hands
-        # every cofactor that falls to TRIAL_CUTOFF or below to the table
+    def test_prime_powers_match_trial_division_up_to_3e4(self, empty_odd_spf):
+        # n <= TRIAL_CUTOFF comes from the small table; above it, each n grows
+        # the odd table as far as needed and is read from it, and a cofactor
+        # that falls to TRIAL_CUTOFF or below finishes from the small table
         for n in range(1, 3 * 10**4 + 1):
             assert factorization._prime_powers(n) == _trial_division_powers(n), n
+
+    @pytest.mark.parametrize(
+        "n",
+        [999_983, 10**6, 997**2, 2**19, 3**12, 2 * 499_979],
+        ids=["prime", "cap", "square-of-997", "power-of-2", "power-of-3", "twice-a-prime"],
+    )
+    def test_prime_powers_inside_the_odd_table(self, empty_odd_spf, n):
+        assert factorization._prime_powers(n) == _trial_division_powers(n)
+        assert factorize(n).as_dict() == _trial_division_powers(n)
 
     @given(st.integers(min_value=1, max_value=10**6))
     def test_roundtrip_small(self, n):
@@ -222,6 +248,82 @@ class TestFactorize:
         assert reconstruct(f) == n
         assert all(e >= 1 for _, e in f.entries)
         assert [p for p, _ in f.entries] == sorted({p for p, _ in f.entries})
+
+
+class TestOddTableGrowth:
+    def test_growth_is_sized_by_the_input(self, empty_odd_spf):
+        assert _odd_spf_limit() == -1
+        assert factorize(20011).entries == ((20011, 1),)
+        assert 20011 <= _odd_spf_limit() < 10**5
+        # the next input past the limit at least doubles it
+        factorize(20013)
+        assert _odd_spf_limit() >= 2 * 20011 - 1
+
+    def test_never_passes_the_cap(self, empty_odd_spf):
+        factorize(600_001)
+        factorize(600_003)
+        assert _odd_spf_limit() == _SPF_CAP - 1
+        assert len(factorization._odd_spf) * factorization._odd_spf.itemsize <= _SPF_CAP
+        table = factorization._odd_spf
+        for n in (_SPF_CAP, _SPF_CAP - 1, 999_983):
+            factorize(n)
+        assert factorization._odd_spf is table
+
+    def test_even_inputs_are_sized_by_their_odd_part(self, empty_odd_spf):
+        assert factorize(2**19).entries == ((2, 19),)
+        assert factorize(640_000).entries == ((2, 10), (5, 4))
+        assert _odd_spf_limit() == -1
+        factorize(2 * 20011)
+        assert 20011 <= _odd_spf_limit() < 10**5
+
+    @pytest.mark.parametrize("n", [TRIAL_CUTOFF, _SPF_CAP + 3, 2**64 - 59, 994009 * 1_000_003])
+    def test_inputs_outside_the_range_never_grow_it(self, empty_odd_spf, n):
+        factorize(n)
+        assert _odd_spf_limit() == -1
+
+    def test_primality_tests_never_grow_it(self, empty_odd_spf):
+        assert is_prime(999_983)
+        assert not is_prime(994_009)
+        assert _odd_spf_limit() == -1
+
+    def test_threads_growing_at_once_still_factor_correctly(self, empty_odd_spf):
+        # growth rebinds the table without a lock; a reader holds one table
+        # throughout, so a race can only build twice or keep a smaller table
+        flags = _sieve(_SPF_CAP)
+        inputs = [range(TRIAL_CUTOFF + 1 + k, _SPF_CAP + 1, 997) for k in range(4)]
+        bad: list[int] = []
+
+        def work(values):
+            for n in values:
+                powers = factorization._prime_powers(n)
+                if math.prod(p**e for p, e in powers.items()) != n or not all(flags[p] for p in powers):
+                    bad.append(n)
+
+        threads = [threading.Thread(target=work, args=(values,)) for values in inputs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert bad == []
+        table = factorization._odd_spf
+        assert 2 * len(table) - 1 <= _SPF_CAP
+        for i in range(1, len(table)):
+            n, p = 2 * i + 1, table[i]
+            assert (p == 0) == bool(flags[n]), n
+            assert p == 0 or (flags[p] and n % p == 0 and p * p <= n), n
+
+    @settings(max_examples=40)
+    @given(st.integers(min_value=2**32, max_value=MAX_INPUT))
+    def test_64bit_inputs_never_grow_it(self, n):
+        before = factorization._odd_spf
+        assert reconstruct(factorize(n)) == n
+        assert factorization._odd_spf is before
 
 
 class TestFactorizationType:

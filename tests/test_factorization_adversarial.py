@@ -10,7 +10,7 @@ tests: strong pseudoprimes, Carmichael numbers and squares of primes."""
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from primelattice import factorize, is_prime
@@ -107,9 +107,15 @@ def test_is_prime_on_64bit_integers(n):
 WITNESS_BOUNDS = (1_373_653, 4_759_123_141, 1_122_004_669_633)
 WITNESS_RANGES = tuple(zip((TRIAL_CUTOFF + 1,) + WITNESS_BOUNDS, WITNESS_BOUNDS + (MAX_INPUT + 1,)))
 
+# The witness-range tests start with the grown odd table empty, so that the
+# (2, 3) set meets every n above TRIAL_CUTOFF whatever ran before; is_prime
+# never grows the table, so one reset per test holds for every example.
+witness_range_test = settings(suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
 
+
+@witness_range_test
 @given(st.sampled_from(WITNESS_RANGES).flatmap(lambda r: st.integers(r[0], r[1] - 1)))
-def test_is_prime_in_each_witness_range(n):
+def test_is_prime_in_each_witness_range(empty_odd_spf, n):
     _agrees_with_sympy(n)
 
 
@@ -117,13 +123,14 @@ def _primes_in(r):
     return st.integers(r[0], r[1] - 1).map(sympy.nextprime).filter(lambda p: p < r[1])
 
 
+@witness_range_test
 @given(st.sampled_from(WITNESS_RANGES).flatmap(_primes_in))
-def test_is_prime_on_primes_in_each_witness_range(n):
+def test_is_prime_on_primes_in_each_witness_range(empty_odd_spf, n):
     _agrees_with_sympy(n)
 
 
 @pytest.mark.parametrize("bound", WITNESS_BOUNDS + (TRIAL_CUTOFF,), ids=str)
-def test_is_prime_on_either_side_of_each_bound(bound):
+def test_is_prime_on_either_side_of_each_bound(empty_odd_spf, bound):
     below, above = bound, bound
     for _ in range(5):
         below, above = sympy.prevprime(below), sympy.nextprime(above)

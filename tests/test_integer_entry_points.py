@@ -7,6 +7,7 @@ from primelattice import (
     DomainError,
     ExponentVector,
     Factorization,
+    GcdLcmResult,
     LandauRecord,
     Partition,
     PrimeSupport,
@@ -26,6 +27,13 @@ from primelattice import (
     verify_order,
 )
 from primelattice import factorization
+
+
+def _gcd_lcm_result(*values, gcd, lcm):
+    """A GcdLcmResult with the given scalars over the vectors of gcd_lcm_set(values)."""
+    res = gcd_lcm_set(values)
+    return GcdLcmResult(gcd, lcm, res.support, res.min_exponents, res.max_exponents)
+
 
 # each call used to succeed on the integer a float or bool compares equal to,
 # to blame a truncated value, or to end in a bare TypeError
@@ -68,6 +76,10 @@ NON_INTEGER_CALLS = {
     "LandauRecord-value-bool": lambda: LandauRecord(n=1, value=True, witness=Partition((1,)), ratio=None),
     "ReducedRatio-float": lambda: ReducedRatio(1.0, 2),
     "ReducedRatio-bool": lambda: ReducedRatio(2, True),
+    # GcdLcmResult compared gcd and lcm with != against their reconstructions only
+    "GcdLcmResult-float": lambda: _gcd_lcm_result(4, 6, gcd=2.0, lcm=12.0),
+    "GcdLcmResult-lcm-float": lambda: _gcd_lcm_result(4, 6, gcd=2, lcm=12.0),
+    "GcdLcmResult-bool": lambda: _gcd_lcm_result(2, 3, gcd=True, lcm=6),
 }
 
 
