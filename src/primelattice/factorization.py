@@ -1,22 +1,21 @@
 """Prime factorization of 64-bit integers.
 
-Every n <= TRIAL_CUTOFF is looked up in one smallest-prime-factor table,
-built on first use. Above it, a second, grow-only table holds the smallest
-prime factor of each odd n up to a limit (0 where n is prime), at most
-_SPF_CAP = 10**6: one uint16 per odd n, about 1 MB at the cap. Only an
-input to factoring up to _SPF_CAP grows it, when its odd part lies past
-both tables, to that odd part or twice the old limit, whichever is larger;
-so its size follows the inputs seen. Primality tests and the cofactors of
-larger inputs only read what is there, and a program that factors only
-64-bit values never builds it. Past both tables, Miller-Rabin runs with
-the smallest witness set proven for n's range: (2, 3) below 1,373,653
-(Pomerance, Selfridge and Wagstaff 1980), (2, 7, 61) below 4,759,123,141
-and (2, 13, 23, 1662803) below 1,122,004,669,633 (Jaeschke 1993), and a
-7-base set exact below 2**64 past that. An input up to _SPF_CAP loses its
-2s by a bit trick and its odd part comes apart by lookups. Any larger one
-is tested, trial division by the small table's primes strips small factors
-until the cofactor is 1, prime, or small enough to finish from the table,
-and Brent-cycle Pollard rho splits whatever survives the trial range.
+One smallest-prime-factor table over odd n, one uint16 each and 0 where n
+is prime, answers primality and factoring at the low end. It covers
+n <= TRIAL_CUTOFF from import (10 KB). The first input to factoring whose
+odd part lies in (TRIAL_CUTOFF, _SPF_CAP] rebuilds it once to _SPF_CAP =
+10**6 (1 MB, about 5 ms). Primality tests and the cofactors of larger
+inputs only read whichever table is there, so a program that factors only
+64-bit values never builds the full one. Past the table, is_prime runs
+Miller-Rabin with the smallest witness set proven for n's range:
+(2, 3) below 1,373,653 (Pomerance, Selfridge and Wagstaff 1980),
+(2, 7, 61) below 4,759,123,141 and (2, 13, 23, 1662803) below
+1,122,004,669,633 (Jaeschke 1993), and a 7-base set exact below 2**64 past
+that. An input up to _SPF_CAP loses its 2s by a bit trick and its odd part
+comes apart by lookups. Any larger one is tested, trial division by the
+primes up to TRIAL_CUTOFF strips small factors until the cofactor is 1,
+prime, or small enough to finish from the table, and Brent-cycle Pollard
+rho splits whatever survives the trial range.
 """
 
 from __future__ import annotations
@@ -40,11 +39,6 @@ _SIEVE_CAP = 10**7
 _RHO_SEED = 0x517CC1B727220A95
 # Every odd composite n <= 10**6 has a prime factor <= 999, so uint16 holds it.
 _SPF_CAP = 10**6
-# The smallest prime factor of odd n at index n >> 1, 0 where n is prime; it
-# covers every n <= 2 * len(_odd_spf) - 1. Growth builds a new array and then
-# rebinds this name, so a reader that takes one local reference sees a whole
-# table; two threads growing at once only build it twice.
-_odd_spf = array("H")
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 # (bound, bases): Miller-Rabin with these bases is exact for every n < bound.
@@ -67,13 +61,19 @@ def is_prime(n: int) -> bool:
     """
     if type(n) is not int:
         n = _integer(n, "primality test requires an integer")
-    if n <= TRIAL_CUTOFF:
-        return n >= 2 and _small_table()[0][n] == n
     odd_spf = _odd_spf
-    if n >> 1 < len(odd_spf):
-        return n & 1 == 1 and not odd_spf[n >> 1]
+    # every table covers TRIAL_CUTOFF, so only larger n need the length
+    if n <= TRIAL_CUTOFF or n >> 1 < len(odd_spf):
+        if n & 1:
+            return n > 1 and not odd_spf[n >> 1]
+        return n == 2
     if n > MAX_INPUT:
         raise DomainError(f"primality test supports n < 2**64, got {_shown(n)}")
+    return _miller_rabin(n)
+
+
+def _miller_rabin(n: int) -> bool:
+    """Primality of TRIAL_CUTOFF < n < 2**64 without the table."""
     for p in _SMALL_PRIMES:
         if n % p == 0:
             return False
@@ -105,36 +105,30 @@ def _eratosthenes(limit: int) -> list[int]:
     return list(compress(range(limit + 1), flags))
 
 
-@functools.cache
-def _small_table() -> tuple[array, tuple[int, ...]]:
-    """The smallest prime factor of every n <= TRIAL_CUTOFF (0 at 0 and 1),
-    about 20 KB, and the primes in that range, which feed the trial loop."""
-    primes = tuple(_eratosthenes(TRIAL_CUTOFF))
-    spf = array("H", bytes(2 * (TRIAL_CUTOFF + 1)))
-    for p in primes:
-        spf[p] = p
-    # a composite n has a prime factor p with p * p <= n; the largest such p
-    # goes first, so each smaller one overwrites the multiples they share
-    for p in reversed([p for p in primes if p * p <= TRIAL_CUTOFF]):
-        spf[p * p :: p] = array("H", (p,)) * len(range(p * p, TRIAL_CUTOFF + 1, p))
-    return spf, primes
-
-
-def _grow_odd_spf(n: int) -> array:
-    """Rebuild _odd_spf to cover an odd n, and at least twice its old limit,
-    but never past _SPF_CAP; return the new table."""
-    global _odd_spf
-    limit = min(_SPF_CAP, max(n, 2 * (2 * len(_odd_spf) - 1)))
+def _odd_spf_table(limit: int) -> array:
+    """The smallest prime factor of each odd n <= limit at index n >> 1, and
+    0 where n is prime (and at n = 1)."""
     size = (limit + 1) >> 1
     odd_spf = array("H", bytes(2 * size))
-    # as in _small_table: the largest prime goes first, so each smaller one
-    # overwrites the odd multiples they share; n = p * p + 2 * k * p sits at
-    # index (p * p >> 1) + k * p
-    for p in reversed([p for p in _small_table()[1][1:] if p * p <= limit]):
+    # a composite n has a prime factor p with p * p <= n; the largest such p
+    # goes first, so each smaller one overwrites the odd multiples they
+    # share; n = p * p + 2 * k * p sits at index (p * p >> 1) + k * p
+    for p in reversed(_eratosthenes(math.isqrt(limit))[1:]):
         start = p * p >> 1
         odd_spf[start::p] = array("H", (p,)) * len(range(start, size, p))
-    _odd_spf = odd_spf
     return odd_spf
+
+
+# Rebound once, to the _SPF_CAP table, by the first input that needs it; a
+# reader takes one local reference, and two threads that both rebuild it
+# only build the same table twice.
+_odd_spf = _odd_spf_table(TRIAL_CUTOFF)
+
+
+@functools.cache
+def _trial_primes() -> tuple[int, ...]:
+    """The 1,229 primes <= TRIAL_CUTOFF, which the trial loop walks."""
+    return tuple(_eratosthenes(TRIAL_CUTOFF))
 
 
 def primes_up_to(limit: int) -> list[int]:
@@ -194,29 +188,17 @@ def _prime_powers(n: int) -> dict[int, int]:
     Every key is proved prime on the way (by the table, by Miller-Rabin, or
     by p * p > m), but the map is not wrapped in a validated Factorization.
     """
+    global _odd_spf
     if n < 1:
         raise DomainError(f"factorization is defined for positive integers, got {_shown(n)}")
     if n > MAX_INPUT:
         raise DomainError(f"factorization supports inputs up to 2**64 - 1, got {_shown(n)}")
-    spf, primes = _small_table()
     powers: dict[int, int] = {}
     m = n
-    if TRIAL_CUTOFF < m <= _SPF_CAP:
-        e = (m & -m).bit_length() - 1
-        if e:
-            powers[2] = e
-            m >>= e
-        if m > TRIAL_CUTOFF:
-            # the odd part sizes the table; its smallest prime factors come
-            # off one lookup each until the small table can finish
-            odd_spf = _odd_spf
-            if m >> 1 >= len(odd_spf):
-                odd_spf = _grow_odd_spf(m)
-            while m > TRIAL_CUTOFF and (p := odd_spf[m >> 1]):
-                powers[p] = powers.get(p, 0) + 1
-                m //= p
-    elif m > TRIAL_CUTOFF and not is_prime(m):
-        for p in primes:
+    if m > _SPF_CAP:
+        if is_prime(m):
+            return {m: 1}
+        for p in _trial_primes():
             if p * p > m:
                 break
             if m % p == 0:
@@ -241,15 +223,24 @@ def _prime_powers(n: int) -> dict[int, int]:
                         powers[f] = powers.get(f, 0) + 1
                     else:
                         stack.append(f)
-    if m > TRIAL_CUTOFF:
-        # proved prime above (by a table, a test or p * p > m), and above
-        # every stripped prime
-        powers[m] = 1
-    else:
-        while m > 1:
-            p = spf[m]
-            powers[p] = powers.get(p, 0) + 1
-            m //= p
+        if m > TRIAL_CUTOFF:
+            # proved prime by a test or by p * p > m, and above every stripped prime
+            powers[m] = 1
+            return powers
+    # m is n itself, up to _SPF_CAP, or a cofactor <= TRIAL_CUTOFF
+    if not m & 1:
+        e = (m & -m).bit_length() - 1
+        powers[2] = e
+        m >>= e
+    odd_spf = _odd_spf
+    if m > TRIAL_CUTOFF and m >> 1 >= len(odd_spf):
+        # an odd part past the table from import: build the full one, once
+        _odd_spf = odd_spf = _odd_spf_table(_SPF_CAP)
+    while p := odd_spf[m >> 1]:
+        powers[p] = powers.get(p, 0) + 1
+        m //= p
+    if m > 1:
+        powers[m] = powers.get(m, 0) + 1
     return powers
 
 

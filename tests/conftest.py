@@ -1,9 +1,5 @@
-from array import array
-
 import pytest
 from hypothesis import HealthCheck, settings
-
-from primelattice import factorization
 
 settings.register_profile(
     "deterministic",
@@ -15,13 +11,6 @@ settings.register_profile(
 settings.load_profile("deterministic")
 
 _acceptance_lines: list[str] = []
-
-
-@pytest.fixture
-def empty_odd_spf(monkeypatch):
-    """Start the test with factorization's grow-only odd smallest-prime-factor
-    table empty, and put the table in use before it back afterwards."""
-    monkeypatch.setattr(factorization, "_odd_spf", array("H"))
 
 
 @pytest.fixture

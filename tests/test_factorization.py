@@ -1,4 +1,5 @@
 import math
+import random
 import sys
 import threading
 
@@ -61,8 +62,15 @@ def _trial_division_powers(n: int) -> dict[int, int]:
 
 
 def _odd_spf_limit() -> int:
-    """The largest odd n the grown table covers; -1 while it is empty."""
+    """The largest odd n the smallest-prime-factor table covers."""
     return 2 * len(factorization._odd_spf) - 1
+
+
+@pytest.fixture
+def small_odd_spf(monkeypatch):
+    """Start the test with the table factorization builds at import, up to
+    TRIAL_CUTOFF, and put the table in use before it back afterwards."""
+    monkeypatch.setattr(factorization, "_odd_spf", factorization._odd_spf_table(TRIAL_CUTOFF))
 
 
 def _trial_division_is_prime(n: int) -> bool:
@@ -104,15 +112,18 @@ class TestIsPrime:
         assert not is_prime(0)
         assert not is_prime(1)
         assert is_prime(2)
+        # a negative n must never index the table from its end
+        assert not any(is_prime(n) for n in range(-2 * _SPF_CAP, 2))
 
-    def test_matches_a_sieve_up_to_2e6(self, empty_odd_spf):
+    def test_matches_a_sieve_up_to_2e6(self, small_odd_spf):
         # the table up to TRIAL_CUTOFF, then the two- and three-base ranges
+        assert _odd_spf_limit() == TRIAL_CUTOFF - 1
         flags = _sieve(2 * 10**6)
         assert [n for n in range(2 * 10**6 + 1) if is_prime(n) != flags[n]] == []
 
-    def test_matches_a_sieve_up_to_2e6_with_the_odd_table_grown(self, empty_odd_spf):
+    def test_matches_a_sieve_up_to_2e6_with_the_full_table(self, small_odd_spf):
         # lookups up to _SPF_CAP, then Miller-Rabin past it
-        factorize(_SPF_CAP - 1)
+        factorize(TRIAL_CUTOFF + 1)
         assert _odd_spf_limit() == _SPF_CAP - 1
         flags = _sieve(2 * 10**6)
         assert [n for n in range(2 * 10**6 + 1) if is_prime(n) != flags[n]] == []
@@ -221,10 +232,9 @@ class TestFactorize:
             (4_294_967_291, 1),
         )
 
-    def test_prime_powers_match_trial_division_up_to_3e4(self, empty_odd_spf):
-        # n <= TRIAL_CUTOFF comes from the small table; above it, each n grows
-        # the odd table as far as needed and is read from it, and a cofactor
-        # that falls to TRIAL_CUTOFF or below finishes from the small table
+    def test_prime_powers_match_trial_division_up_to_3e4(self, small_odd_spf):
+        # n <= TRIAL_CUTOFF is read from the table built at import; the first
+        # n above it builds the full table, and every later n is read from that
         for n in range(1, 3 * 10**4 + 1):
             assert factorization._prime_powers(n) == _trial_division_powers(n), n
 
@@ -233,7 +243,7 @@ class TestFactorize:
         [999_983, 10**6, 997**2, 2**19, 3**12, 2 * 499_979],
         ids=["prime", "cap", "square-of-997", "power-of-2", "power-of-3", "twice-a-prime"],
     )
-    def test_prime_powers_inside_the_odd_table(self, empty_odd_spf, n):
+    def test_prime_powers_inside_the_full_table(self, small_odd_spf, n):
         assert factorization._prime_powers(n) == _trial_division_powers(n)
         assert factorize(n).as_dict() == _trial_division_powers(n)
 
@@ -250,45 +260,31 @@ class TestFactorize:
         assert [p for p, _ in f.entries] == sorted({p for p, _ in f.entries})
 
 
-class TestOddTableGrowth:
-    def test_growth_is_sized_by_the_input(self, empty_odd_spf):
-        assert _odd_spf_limit() == -1
+class TestOddTable:
+    def test_first_input_in_range_builds_it_to_the_cap(self, small_odd_spf):
+        assert factorize(2**19).entries == ((2, 19),)
+        assert factorize(640_000).entries == ((2, 10), (5, 4))
+        assert _odd_spf_limit() == TRIAL_CUTOFF - 1
         assert factorize(20011).entries == ((20011, 1),)
-        assert 20011 <= _odd_spf_limit() < 10**5
-        # the next input past the limit at least doubles it
-        factorize(20013)
-        assert _odd_spf_limit() >= 2 * 20011 - 1
-
-    def test_never_passes_the_cap(self, empty_odd_spf):
-        factorize(600_001)
-        factorize(600_003)
         assert _odd_spf_limit() == _SPF_CAP - 1
-        assert len(factorization._odd_spf) * factorization._odd_spf.itemsize <= _SPF_CAP
         table = factorization._odd_spf
-        for n in (_SPF_CAP, _SPF_CAP - 1, 999_983):
+        assert len(table) * table.itemsize <= _SPF_CAP
+        for n in (_SPF_CAP, _SPF_CAP - 1, 999_983, 2 * 499_979):
             factorize(n)
         assert factorization._odd_spf is table
 
-    def test_even_inputs_are_sized_by_their_odd_part(self, empty_odd_spf):
-        assert factorize(2**19).entries == ((2, 19),)
-        assert factorize(640_000).entries == ((2, 10), (5, 4))
-        assert _odd_spf_limit() == -1
-        factorize(2 * 20011)
-        assert 20011 <= _odd_spf_limit() < 10**5
+    def test_full_table_matches_a_sieve(self, small_odd_spf):
+        factorize(_SPF_CAP - 1)
+        table, flags = factorization._odd_spf, _sieve(_SPF_CAP)
+        assert table[0] == 0
+        for i in range(1, len(table)):
+            n, p = 2 * i + 1, table[i]
+            assert (p == 0) == bool(flags[n]), n
+            assert p == 0 or (flags[p] and n % p == 0 and p * p <= n), n
 
-    @pytest.mark.parametrize("n", [TRIAL_CUTOFF, _SPF_CAP + 3, 2**64 - 59, 994009 * 1_000_003])
-    def test_inputs_outside_the_range_never_grow_it(self, empty_odd_spf, n):
-        factorize(n)
-        assert _odd_spf_limit() == -1
-
-    def test_primality_tests_never_grow_it(self, empty_odd_spf):
-        assert is_prime(999_983)
-        assert not is_prime(994_009)
-        assert _odd_spf_limit() == -1
-
-    def test_threads_growing_at_once_still_factor_correctly(self, empty_odd_spf):
-        # growth rebinds the table without a lock; a reader holds one table
-        # throughout, so a race can only build twice or keep a smaller table
+    def test_threads_building_it_at_once_factor_correctly(self, small_odd_spf):
+        # the build rebinds the table without a lock and a reader holds one
+        # table throughout, so a race can only build it twice
         flags = _sieve(_SPF_CAP)
         inputs = [range(TRIAL_CUTOFF + 1 + k, _SPF_CAP + 1, 997) for k in range(4)]
         bad: list[int] = []
@@ -311,19 +307,23 @@ class TestOddTableGrowth:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert bad == []
-        table = factorization._odd_spf
-        assert 2 * len(table) - 1 <= _SPF_CAP
-        for i in range(1, len(table)):
-            n, p = 2 * i + 1, table[i]
-            assert (p == 0) == bool(flags[n]), n
-            assert p == 0 or (flags[p] and n % p == 0 and p * p <= n), n
+        assert _odd_spf_limit() == _SPF_CAP - 1
 
-    @settings(max_examples=40)
-    @given(st.integers(min_value=2**32, max_value=MAX_INPUT))
-    def test_64bit_inputs_never_grow_it(self, n):
-        before = factorization._odd_spf
-        assert reconstruct(factorize(n)) == n
-        assert factorization._odd_spf is before
+    @pytest.mark.parametrize("n", [TRIAL_CUTOFF, _SPF_CAP + 3, 2**64 - 59, 994009 * 1_000_003])
+    def test_inputs_outside_the_range_never_build_it(self, small_odd_spf, n):
+        factorize(n)
+        assert _odd_spf_limit() == TRIAL_CUTOFF - 1
+
+    def test_primality_tests_never_build_it(self, small_odd_spf):
+        assert is_prime(999_983)
+        assert not is_prime(994_009)
+        assert _odd_spf_limit() == TRIAL_CUTOFF - 1
+
+    def test_64bit_inputs_never_build_it(self, small_odd_spf):
+        rng = random.Random(64)
+        for n in [rng.randint(2**32, MAX_INPUT) for _ in range(40)]:
+            assert reconstruct(factorize(n)) == n
+        assert _odd_spf_limit() == TRIAL_CUTOFF - 1
 
 
 class TestFactorizationType:

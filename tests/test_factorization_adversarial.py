@@ -10,11 +10,11 @@ tests: strong pseudoprimes, Carmichael numbers and squares of primes."""
 import math
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from primelattice import factorize, is_prime
-from primelattice.factorization import MAX_INPUT, TRIAL_CUTOFF
+from primelattice.factorization import MAX_INPUT, TRIAL_CUTOFF, _miller_rabin
 
 sympy = pytest.importorskip("sympy")
 
@@ -103,40 +103,42 @@ def test_is_prime_on_64bit_integers(n):
 
 
 # is_prime's witness ranges above TRIAL_CUTOFF: the smallest proven set for
-# each, then the 7-base set up to 2**64
+# each, then the 7-base set up to 2**64. is_prime answers n <= 10**6 from its
+# table once an input to factoring has built it to the cap, so these tests
+# also call Miller-Rabin directly, whatever ran before.
 WITNESS_BOUNDS = (1_373_653, 4_759_123_141, 1_122_004_669_633)
 WITNESS_RANGES = tuple(zip((TRIAL_CUTOFF + 1,) + WITNESS_BOUNDS, WITNESS_BOUNDS + (MAX_INPUT + 1,)))
 
-# The witness-range tests start with the grown odd table empty, so that the
-# (2, 3) set meets every n above TRIAL_CUTOFF whatever ran before; is_prime
-# never grows the table, so one reset per test holds for every example.
-witness_range_test = settings(suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
+
+def _witnesses_agree_with_sympy(n):
+    expected = sympy.isprime(n)
+    assert is_prime(n) == expected, n
+    if n > TRIAL_CUTOFF:
+        assert _miller_rabin(n) == expected, n
 
 
-@witness_range_test
 @given(st.sampled_from(WITNESS_RANGES).flatmap(lambda r: st.integers(r[0], r[1] - 1)))
-def test_is_prime_in_each_witness_range(empty_odd_spf, n):
-    _agrees_with_sympy(n)
+def test_is_prime_in_each_witness_range(n):
+    _witnesses_agree_with_sympy(n)
 
 
 def _primes_in(r):
     return st.integers(r[0], r[1] - 1).map(sympy.nextprime).filter(lambda p: p < r[1])
 
 
-@witness_range_test
 @given(st.sampled_from(WITNESS_RANGES).flatmap(_primes_in))
-def test_is_prime_on_primes_in_each_witness_range(empty_odd_spf, n):
-    _agrees_with_sympy(n)
+def test_is_prime_on_primes_in_each_witness_range(n):
+    _witnesses_agree_with_sympy(n)
 
 
 @pytest.mark.parametrize("bound", WITNESS_BOUNDS + (TRIAL_CUTOFF,), ids=str)
-def test_is_prime_on_either_side_of_each_bound(empty_odd_spf, bound):
+def test_is_prime_on_either_side_of_each_bound(bound):
     below, above = bound, bound
     for _ in range(5):
         below, above = sympy.prevprime(below), sympy.nextprime(above)
         assert is_prime(below) and is_prime(above), (below, above)
     for n in range(bound - 300, bound + 300):
-        _agrees_with_sympy(n)
+        _witnesses_agree_with_sympy(n)
 
 
 @given(st.sampled_from(STRONG_PSEUDOPRIMES), st.integers(-64, 64))
