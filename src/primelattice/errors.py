@@ -1,5 +1,7 @@
 import operator
-from typing import Iterable
+from typing import Iterable, TypeVar
+
+_T = TypeVar("_T")
 
 
 class DomainError(ValueError):
@@ -28,9 +30,18 @@ def _integer(value: int, requirement: str) -> int:
 
 def _integers(values: Iterable[int], noun: str) -> tuple[int, ...]:
     """Return values as a tuple of ints, each under _integer's rules; noun names
-    them in the error message. Exact ints skip the call, which keeps hot
-    constructors cheap."""
+    them in the error message. Exact ints pass through unchanged."""
     return tuple(x if type(x) is int else _integer(x, f"{noun} must be integers") for x in values)
+
+
+def _trusted(cls: type[_T], *values: object) -> _T:
+    """Build a frozen dataclass from field values the library has just proved,
+    in field order, without running its validating __post_init__. Public
+    constructors keep validating what callers pass in."""
+    obj = object.__new__(cls)
+    for name, value in zip(cls.__dataclass_fields__, values, strict=True):
+        object.__setattr__(obj, name, value)
+    return obj
 
 
 def _positive_non_increasing(values: Iterable[int], noun: str) -> tuple[int, ...]:

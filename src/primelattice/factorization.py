@@ -26,7 +26,7 @@ from array import array
 from dataclasses import dataclass
 from itertools import compress
 
-from .errors import DomainError, _integer, _integers, _shown
+from .errors import DomainError, _integer, _integers, _shown, _trusted
 from .rng import SplitMix64
 
 MAX_INPUT = 2**64 - 1
@@ -152,10 +152,7 @@ class Factorization:
     entries: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self) -> None:
-        entries = tuple(
-            (p, e) if type(p) is int and type(e) is int else _integers((p, e), "factorization entries")
-            for p, e in self.entries
-        )
+        entries = tuple(_integers((p, e), "factorization entries") for p, e in self.entries)
         object.__setattr__(self, "entries", entries)
         last = 1
         for p, e in entries:
@@ -179,14 +176,14 @@ def reconstruct(f: Factorization) -> int:
 def factorize(n: int) -> Factorization:
     """Factor a positive integer up to 2**64 - 1."""
     n = _integer(n, "factorization requires an integer")
-    return Factorization(tuple(sorted(_prime_powers(n).items())))
+    return _trusted(Factorization, tuple(sorted(_prime_powers(n).items())))
 
 
 def _prime_powers(n: int) -> dict[int, int]:
     """Map each prime of an int n to its exponent, in no particular order.
 
     Every key is proved prime on the way (by the table, by Miller-Rabin, or
-    by p * p > m), but the map is not wrapped in a validated Factorization.
+    by p * p > m), so callers build their results from it without re-proof.
     """
     global _odd_spf
     if n < 1:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from . import lattice
-from .errors import DomainError, _integer, _integers, _shown
+from .errors import DomainError, _integer, _integers, _shown, _trusted
 from .factorization import _prime_powers, factorize
 from .lattice import ExponentVector, PrimeSupport, align, join, meet
 
@@ -28,10 +28,9 @@ class GcdLcmResult:
     max_exponents: ExponentVector
 
     def __post_init__(self) -> None:
-        if type(self.gcd) is not int or type(self.lcm) is not int:
-            gcd, lcm = _integers((self.gcd, self.lcm), "gcd and lcm")
-            object.__setattr__(self, "gcd", gcd)
-            object.__setattr__(self, "lcm", lcm)
+        gcd, lcm = _integers((self.gcd, self.lcm), "gcd and lcm")
+        object.__setattr__(self, "gcd", gcd)
+        object.__setattr__(self, "lcm", lcm)
         if lattice.reconstruct(self.min_exponents) != self.gcd:
             raise DomainError("gcd does not match its exponent vector")
         if lattice.reconstruct(self.max_exponents) != self.lcm:
@@ -48,10 +47,9 @@ class ReducedRatio:
     right: int
 
     def __post_init__(self) -> None:
-        if type(self.left) is not int or type(self.right) is not int:
-            left, right = _integers((self.left, self.right), "reduced ratio terms")
-            object.__setattr__(self, "left", left)
-            object.__setattr__(self, "right", right)
+        left, right = _integers((self.left, self.right), "reduced ratio terms")
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
         if self.left < 1 or self.right < 1:
             raise DomainError("reduced ratio terms must be positive")
         if gcd_euclid(self.left, self.right) != 1:
@@ -103,8 +101,8 @@ def gcd_lcm_set(values: Sequence[int]) -> GcdLcmResult:
     one pass into the maximum exponent of every prime seen and the minimum
     over primes common to all values, so the cost follows the factor
     entries rather than the number of values times the joint support. The
-    maps are not wrapped in a Factorization each: PrimeSupport proves every
-    prime of the union once, and GcdLcmResult checks both reconstructions.
+    factorizer proves every prime it returns, so the support, both vectors
+    and the result are built from those proved parts without re-validation.
     """
     vals = [_integer(v, "gcd/lcm require integers") for v in values]
     if not vals:
@@ -121,16 +119,10 @@ def gcd_lcm_set(values: Sequence[int]) -> GcdLcmResult:
                 highs[p] = e
         # a prime missing from this value has exponent 0, so it leaves lows
         lows = {p: min(e, table[p]) for p, e in lows.items() if p in table}
-    support = PrimeSupport(tuple(sorted(highs)))
-    mins = ExponentVector(support, tuple(lows.get(p, 0) for p in support.primes))
-    maxs = ExponentVector(support, tuple(highs[p] for p in support.primes))
-    return GcdLcmResult(
-        gcd=lattice.reconstruct(mins),
-        lcm=lattice.reconstruct(maxs),
-        support=support,
-        min_exponents=mins,
-        max_exponents=maxs,
-    )
+    support = _trusted(PrimeSupport, tuple(sorted(highs)))
+    mins = _trusted(ExponentVector, support, tuple(lows.get(p, 0) for p in support.primes))
+    maxs = _trusted(ExponentVector, support, tuple(highs[p] for p in support.primes))
+    return _trusted(GcdLcmResult, lattice.reconstruct(mins), lattice.reconstruct(maxs), support, mins, maxs)
 
 
 def gcd_euclid(a: int, b: int) -> int:
@@ -149,7 +141,7 @@ def reduce_ratio(a: int, b: int) -> ReducedRatio:
         raise DomainError("ratio terms must be nonzero")
     a, b = abs(a), abs(b)
     g = gcd_euclid(a, b)
-    return ReducedRatio(a // g, b // g)
+    return _trusted(ReducedRatio, a // g, b // g)
 
 
 def check_product_identity(a: int, b: int) -> ProductCheck:

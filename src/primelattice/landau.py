@@ -17,11 +17,10 @@ bounded table against an unbounded one, for every n up to DP_LIMIT.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from .errors import DomainError, _integer, _integers, _positive_non_increasing, _shown
+from .errors import DomainError, _integer, _integers, _positive_non_increasing, _shown, _trusted
 from .factorization import primes_up_to
 from .gcdlcm import gcd_lcm_set
 
@@ -59,10 +58,9 @@ class LandauRecord:
     ratio: float | None
 
     def __post_init__(self) -> None:
-        if type(self.n) is not int or type(self.value) is not int:
-            n, value = _integers((self.n, self.value), "Landau record n and value")
-            object.__setattr__(self, "n", n)
-            object.__setattr__(self, "value", value)
+        n, value = _integers((self.n, self.value), "Landau record n and value")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "value", value)
         if self.n < 1:
             raise DomainError(f"defined for positive n, got {_shown(self.n)}")
         if self.witness.n != self.n:
@@ -100,7 +98,7 @@ def partitions(n: int) -> Iterator[Partition]:
                 yield (head, *tail)
 
     for parts in descend(n, n):
-        yield Partition(parts)
+        yield _trusted(Partition, parts, sum(parts))
 
 
 def partition_count(n: int) -> int:
@@ -199,20 +197,17 @@ def _build_table(n_max: int) -> _DpTable:
     return _DpTable(n_max, tuple(primes), tuple(values), tuple(choices))
 
 
-_dp_lock = threading.Lock()
+# Rebound, never mutated: a reader takes one reference and returns a table
+# that covers its n, so two threads that grow it at once only build twice.
 _dp_cached: _DpTable | None = None
 
 
 def _dp_table(n_max: int) -> _DpTable:
     global _dp_cached
     table = _dp_cached
-    if table is None or table.n_max < n_max:
-        with _dp_lock:
-            table = _dp_cached
-            have = table.n_max if table else 0
-            if have < n_max:
-                table = _build_table(min(DP_LIMIT, max(n_max, 2 * have, 1 << 10)))
-                _dp_cached = table
+    have = table.n_max if table else 0
+    if have < n_max:
+        table = _dp_cached = _build_table(min(DP_LIMIT, max(n_max, 2 * have, 1 << 10)))
     return table
 
 

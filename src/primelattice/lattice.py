@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import DomainError, _integers, _shown
+from .errors import DomainError, _integers, _shown, _trusted
 from .factorization import Factorization, is_prime
 
 
@@ -79,11 +79,11 @@ def align(factorizations: Iterable[Factorization]) -> tuple[PrimeSupport, list[E
     union: set[int] = set()
     for f in facs:
         union.update(p for p, _ in f.entries)
-    support = PrimeSupport(tuple(sorted(union)))
+    support = _trusted(PrimeSupport, tuple(sorted(union)))
     vectors = []
     for f in facs:
         table = f.as_dict()
-        vectors.append(ExponentVector(support, tuple(table.get(p, 0) for p in support.primes)))
+        vectors.append(_trusted(ExponentVector, support, tuple(table.get(p, 0) for p in support.primes)))
     return support, vectors
 
 
@@ -91,20 +91,20 @@ def meet(vectors: Sequence[ExponentVector]) -> ExponentVector:
     """Pointwise minimum; the exponent vector of the gcd."""
     support = _common_support(vectors)
     lows = tuple(min(v.exponents[i] for v in vectors) for i in range(len(support)))
-    return ExponentVector(support, lows)
+    return _trusted(ExponentVector, support, lows)
 
 
 def join(vectors: Sequence[ExponentVector]) -> ExponentVector:
     """Pointwise maximum; the exponent vector of the lcm."""
     support = _common_support(vectors)
     highs = tuple(max(v.exponents[i] for v in vectors) for i in range(len(support)))
-    return ExponentVector(support, highs)
+    return _trusted(ExponentVector, support, highs)
 
 
 def add(a: ExponentVector, b: ExponentVector) -> ExponentVector:
     """Pointwise sum; multiplication of the underlying integers."""
     support = _common_support((a, b))
-    return ExponentVector(support, tuple(x + y for x, y in zip(a.exponents, b.exponents)))
+    return _trusted(ExponentVector, support, tuple(x + y for x, y in zip(a.exponents, b.exponents)))
 
 
 def dominates(a: ExponentVector, b: ExponentVector) -> bool:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import DomainError, _integer, _positive_non_increasing, _shown
+from .errors import DomainError, _integer, _positive_non_increasing, _shown, _trusted
 from .gcdlcm import gcd_lcm_set
 
 
@@ -23,8 +23,7 @@ class CycleDecomposition:
     cycle_lengths: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if type(self.n) is not int:
-            object.__setattr__(self, "n", _integer(self.n, "cycle decomposition size must be an integer"))
+        object.__setattr__(self, "n", _integer(self.n, "cycle decomposition size must be an integer"))
         lengths = _positive_non_increasing(self.cycle_lengths, "cycle lengths")
         object.__setattr__(self, "cycle_lengths", lengths)
         if sum(lengths) != self.n:
@@ -65,7 +64,7 @@ def cycle_decompose(perm: Sequence[int]) -> CycleDecomposition:
             length += 1
         lengths.append(length)
     lengths.sort(reverse=True)
-    return CycleDecomposition(n=n, cycle_lengths=tuple(lengths))
+    return _trusted(CycleDecomposition, n, tuple(lengths))
 
 
 def order(decomposition: CycleDecomposition) -> int:

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from primelattice import DomainError, Factorization, factorize, is_prime, primes_up_to, reconstruct
-from primelattice import factorization
+from primelattice import DomainError, Factorization, factorize, gcd_lcm_set, is_prime, primes_up_to, reconstruct
+from primelattice import factorization, lattice
 from primelattice.factorization import _SPF_CAP, MAX_INPUT, TRIAL_CUTOFF
 
 # Mersenne number 2**59 - 1 and its classical two-prime splitting.
@@ -160,7 +160,7 @@ class TestPrimesUpTo:
 
 @pytest.fixture
 def is_prime_calls(monkeypatch):
-    """The arguments of every is_prime call the factorization module makes."""
+    """The arguments of every is_prime call the factorization and lattice modules make."""
     calls = []
 
     def counting_is_prime(n):
@@ -168,6 +168,7 @@ def is_prime_calls(monkeypatch):
         return is_prime(n)
 
     monkeypatch.setattr(factorization, "is_prime", counting_is_prime)
+    monkeypatch.setattr(lattice, "is_prime", counting_is_prime)
     return calls
 
 
@@ -209,9 +210,16 @@ class TestFactorize:
         assert factorize(561).entries == ((3, 1), (11, 1), (17, 1))
 
     def test_prime_cofactor_is_tested_once(self, is_prime_calls):
-        # one test proves 1000003 prime, one more comes from Factorization's own check
+        # one test proves 1000003 prime, and the result is built from that proof
         assert factorize(1_000_003).entries == ((1_000_003, 1),)
-        assert is_prime_calls == [1_000_003, 1_000_003]
+        assert is_prime_calls == [1_000_003]
+
+    def test_gcd_lcm_set_proves_each_prime_once(self, is_prime_calls):
+        # each input is found composite, its cofactor after the 2 or the 3 is
+        # proved prime, and the support is built from those proofs
+        res = gcd_lcm_set([2_000_006, 3_000_009])
+        assert (res.gcd, res.support.primes) == (1_000_003, (2, 3, 1_000_003))
+        assert is_prime_calls == [2_000_006, 1_000_003, 3_000_009, 1_000_003]
 
     def test_rho_input_proves_each_prime_once(self, is_prime_calls):
         # one test finds the input composite; rho's two factors are tested once each

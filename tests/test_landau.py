@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 from bisect import bisect_right
 
 import pytest
@@ -75,6 +77,11 @@ class TestPartitionCount:
     def test_negative_rejected(self):
         with pytest.raises(DomainError):
             partition_count(-3)
+
+    def test_matches_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        for n in [*range(501), 10**4]:
+            assert partition_count(n) == sympy.partition(n), n
 
 
 class TestPartitionType:
@@ -234,6 +241,32 @@ class TestPrimeBoundedDp:
         table = landau._dp_table(DP_LIMIT)
         assert len(table.primes) == 79
         assert table.primes[-1] == 401
+
+    def test_threads_growing_the_cache_at_once_agree(self, monkeypatch):
+        # the cache is rebound without a lock and each caller keeps the table
+        # it read or built, so a race can only build a table twice
+        reference = landau._build_table(2400).values
+        monkeypatch.setattr(landau, "_dp_cached", None)
+        inputs = [range(600 * (k + 1), 0, -53) for k in range(4)]
+        results: list[dict[int, int]] = [{} for _ in inputs]
+
+        def work(values, got):
+            for n in values:
+                got[n] = landau_dp(n).value
+
+        threads = [threading.Thread(target=work, args=pair) for pair in zip(inputs, results)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for values, got in zip(inputs, results):
+            assert got == {n: reference[n] for n in values}
 
 
 class TestLandauRecordType:
