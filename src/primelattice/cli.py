@@ -26,11 +26,11 @@ from .gcdlcm import (
 )
 from .landau import (
     BRUTE_FORCE_LIMIT,
+    _part_tuples,
     asymptotic_table,
     landau_bruteforce,
     landau_dp,
     partition_count,
-    partitions,
 )
 from .permutation import CycleDecomposition, cycle_decompose, order, verify_order
 from .rng import SplitMix64
@@ -53,13 +53,32 @@ class _ParserExit(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse reserves exit code 2 for usage errors; this CLI does not."""
+    """argparse reserves exit code 2 for usage errors; this CLI does not.
+
+    argparse echoes an unrecognized argument or an invalid choice whole;
+    here a long or unprintable one is quoted as _quoted does, so the error
+    stays one short line.
+    """
 
     def exit(self, status: int = 0, message: str | None = None) -> None:
         raise _ParserExit(status, message)
 
     def error(self, message: str) -> None:
         raise _ParserExit(1, f"{self.format_usage()}{self.prog}: error: {message}\n")
+
+    def parse_args(  # type: ignore[override]
+        self, args: Sequence[str] | None = None, namespace: argparse.Namespace | None = None
+    ) -> argparse.Namespace:
+        parsed, extras = self.parse_known_args(args, namespace)
+        if extras:
+            shown = (a if len(a) <= _QUOTE_LIMIT and a.isprintable() else _quoted(a) for a in extras)
+            self.error(f"unrecognized arguments: {' '.join(shown)}")
+        return parsed
+
+    def _check_value(self, action: argparse.Action, value: object) -> None:
+        if action.choices is not None and value not in action.choices:
+            choices = ", ".join(map(repr, action.choices))
+            raise argparse.ArgumentError(action, f"invalid choice: {_quoted(str(value))} (choose from {choices})")
 
 
 class _Output(NamedTuple):
@@ -245,7 +264,7 @@ def _cmd_landau(args: argparse.Namespace) -> _Output:
     if method == "both":
         dp = landau_dp(args.n)
         brute = landau_bruteforce(args.n)
-        enumerated = sum(1 for _ in partitions(args.n))
+        enumerated = sum(1 for _ in _part_tuples(args.n, args.n))
         expected = partition_count(args.n)
         agree = dp.value == brute.value
         counts_match = enumerated == expected

@@ -8,6 +8,7 @@ lattice computation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -99,17 +100,18 @@ def gcd_lcm_set(values: Sequence[int]) -> GcdLcmResult:
 
     Each value is factored once and its prime-to-exponent map is folded in
     one pass into the maximum exponent of every prime seen and the minimum
-    over primes common to all values, so the cost follows the factor
-    entries rather than the number of values times the joint support. The
-    factorizer proves every prime it returns, so the support, both vectors
-    and the result are built from those proved parts without re-validation.
+    over primes common to all values; once no prime is common, later values
+    only raise maxima. The gcd and lcm are products over those two maps, so
+    the cost follows the factor entries rather than the number of values
+    times the joint support. The factorizer proves every prime it returns,
+    so the support, both vectors and the result are built from those proved
+    parts without re-validation.
     """
-    vals = [_integer(v, "gcd/lcm require integers") for v in values]
+    vals = [v if type(v) is int else _integer(v, "gcd/lcm require integers") for v in values]
     if not vals:
         raise DomainError("gcd/lcm of an empty set is undefined")
-    for v in vals:
-        if v == 0:
-            raise DomainError("gcd/lcm require nonzero integers; zero admits no exponent vector")
+    if 0 in vals:
+        raise DomainError("gcd/lcm require nonzero integers; zero admits no exponent vector")
     tables = (_prime_powers(abs(v)) for v in vals)
     lows = next(tables)
     highs = dict(lows)
@@ -117,12 +119,16 @@ def gcd_lcm_set(values: Sequence[int]) -> GcdLcmResult:
         for p, e in table.items():
             if e > highs.get(p, 0):
                 highs[p] = e
-        # a prime missing from this value has exponent 0, so it leaves lows
-        lows = {p: min(e, table[p]) for p, e in lows.items() if p in table}
+        # a prime missing from this value has exponent 0, so it leaves lows,
+        # and once lows is empty no later value can refill it
+        if lows:
+            lows = {p: min(e, table[p]) for p, e in lows.items() if p in table}
     support = _trusted(PrimeSupport, tuple(sorted(highs)))
     mins = _trusted(ExponentVector, support, tuple(lows.get(p, 0) for p in support.primes))
     maxs = _trusted(ExponentVector, support, tuple(highs[p] for p in support.primes))
-    return _trusted(GcdLcmResult, lattice.reconstruct(mins), lattice.reconstruct(maxs), support, mins, maxs)
+    gcd = math.prod(p**e for p, e in lows.items())
+    lcm = math.prod(p**e for p, e in highs.items())
+    return _trusted(GcdLcmResult, gcd, lcm, support, mins, maxs)
 
 
 def gcd_euclid(a: int, b: int) -> int:

@@ -1,9 +1,10 @@
 """Largest lcm over the partitions of n.
 
-Two independent routes compute it: exhaustive enumeration of partitions
-(small n only) and a knapsack-style dynamic program over prime powers,
-which rests on the fact that some maximizing partition always consists of
-powers of distinct primes padded with ones. The growth-ratio table feeds
+Two independent routes compute it: a search over every partition that
+skips only subtrees a product bound rules out (small n only), and a
+knapsack-style dynamic program over prime powers, which rests on the fact
+that some maximizing partition always consists of powers of distinct
+primes padded with ones. The growth-ratio table feeds
 the asymptotic comparison against sqrt(n log n).
 
 The knapsack runs only over primes up to 1.328 * sqrt(n log n) at the
@@ -88,17 +89,18 @@ def partitions(n: int) -> Iterator[Partition]:
     n = _integer(n, "partitions require an integer n")
     if n < 0:
         raise DomainError(f"partitions are defined for nonnegative n, got {_shown(n)}")
-
-    def descend(remaining: int, cap: int) -> Iterator[tuple[int, ...]]:
-        if remaining == 0:
-            yield ()
-            return
-        for head in range(min(remaining, cap), 0, -1):
-            for tail in descend(remaining - head, head):
-                yield (head, *tail)
-
-    for parts in descend(n, n):
+    for parts in _part_tuples(n, n):
         yield _trusted(Partition, parts, sum(parts))
+
+
+def _part_tuples(remaining: int, cap: int) -> Iterator[tuple[int, ...]]:
+    """Partitions of remaining into parts <= cap, as tuples, in partitions() order."""
+    if remaining == 0:
+        yield ()
+        return
+    for head in range(min(remaining, cap), 0, -1):
+        for tail in _part_tuples(remaining - head, head):
+            yield (head, *tail)
 
 
 def partition_count(n: int) -> int:
@@ -131,26 +133,53 @@ def partition_count(n: int) -> int:
     return counts[n]
 
 
-def landau_bruteforce(n: int) -> LandauRecord:
-    """Maximal lcm by scanning every partition of n.
+# _MAX_PRODUCT[r] is the largest product of positive parts summing to r: threes,
+# with one 2 or 4 when r is not a multiple of 3. It bounds the lcm of any parts
+# summing to r, and uses nothing about which partitions attain an lcm.
+_MAX_PRODUCT = [1, 1, 2, 3, 4]
+while len(_MAX_PRODUCT) <= BRUTE_FORCE_LIMIT:
+    _MAX_PRODUCT.append(3 * _MAX_PRODUCT[-3])
 
-    The witness is the first maximizer in enumeration order. Each partition
-    is scored with math.lcm; the record re-derives the witness lcm through
-    the exponent route. Partition counts grow superpolynomially, hence the
-    hard limit.
+
+def landau_bruteforce(n: int) -> LandauRecord:
+    """Maximal lcm by searching every partition of n.
+
+    The search walks the partitions in partitions() order and carries the
+    lcm of the parts so far. It skips a subtree when the running lcm times
+    the largest product of positive parts summing to what remains is at
+    most the best lcm found, since no partition below can beat it. That
+    bound knows nothing of Landau's function, so this route stays
+    independent of the dynamic program. The witness is the first maximizer
+    in enumeration order: a later partition replaces it only with a
+    strictly larger lcm, and the skip test is not strict. The record
+    re-derives the witness lcm through the exponent route. The search still
+    grows superpolynomially, hence the hard limit.
     """
     n = _integer(n, "brute force requires an integer n")
     if not 1 <= n <= BRUTE_FORCE_LIMIT:
         raise DomainError(f"brute force supports 1 <= n <= {BRUTE_FORCE_LIMIT}, got {_shown(n)}")
     best = 0
-    witness = None
-    for part in partitions(n):
-        value = math.lcm(*part.parts)
-        if value > best:
-            best = value
-            witness = part
-    assert witness is not None
-    return LandauRecord(n=n, value=best, witness=witness, ratio=_ratio(n, best))
+    witness: tuple[int, ...] = ()
+    stack: list[int] = []
+
+    def search(remaining: int, cap: int, acc: int) -> None:
+        nonlocal best, witness
+        for head in range(min(remaining, cap), 0, -1):
+            rest = remaining - head
+            lcm = acc * head // math.gcd(acc, head)
+            if lcm * _MAX_PRODUCT[rest] <= best:
+                continue
+            stack.append(head)
+            if rest:
+                search(rest, head, lcm)
+            else:
+                # passing the skip test with nothing left means lcm > best
+                best = lcm
+                witness = tuple(stack)
+            stack.pop()
+
+    search(n, n, 1)
+    return LandauRecord(n=n, value=best, witness=Partition(witness), ratio=_ratio(n, best))
 
 
 @dataclass(frozen=True)

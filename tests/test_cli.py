@@ -132,8 +132,10 @@ class TestNumberParsing:
             (["factor", "1" * 3000 + "x"], 3001),
             (["order", "--cycles", ",".join(["2"] * 2000) + ",x"], 4001),
             (["gcd", "6", "\x01" * 2000], 2000),
+            (["factor", "5", "9" * 5000], 5000),
+            (["factor", "5", "--format", "x" * 3000], 3000),
         ],
-        ids=["factor", "cycles-list", "control-characters"],
+        ids=["factor", "cycles-list", "control-characters", "unrecognized", "invalid-choice"],
     )
     def test_malformed_arguments_are_quoted_by_a_prefix(self, argv, length):
         # the whole argument used to be echoed: 3,137 bytes of stderr for the first
@@ -150,6 +152,12 @@ class TestNumberParsing:
         code, _, err = run_cli(["factor", "12x"])
         assert code == 1
         assert err.splitlines()[-1].endswith("expected a decimal integer, got '12x'")
+
+    def test_unrecognized_arguments_stay_on_one_line(self):
+        # argparse joined them as given, so a newline inside one split the error line
+        code, _, err = run_cli(["factor", "5", "7", "a\nb"])
+        assert code == 1
+        assert err.splitlines()[-1] == "primelattice: error: unrecognized arguments: 7 'a\\nb'"
 
 
 class TestFormats:

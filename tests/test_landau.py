@@ -131,7 +131,7 @@ class TestLandau:
             assert gcd_lcm_set(list(brute.witness.parts)).lcm == brute.value
 
     def test_bruteforce_witness_is_the_first_maximizer(self):
-        for n in range(1, 21):
+        for n in range(1, 31):
             scores = [(p, gcd_lcm_set(list(p.parts)).lcm) for p in partitions(n)]
             best = max(value for _, value in scores)
             first = next(p for p, value in scores if value == best)
@@ -163,10 +163,27 @@ class TestLandau:
         assert all(a <= b for a, b in zip(values, values[1:]))
 
 
-@pytest.mark.slow
 def test_dp_matches_bruteforce_extended_tier():
     for n in range(31, 61):
-        assert landau_dp(n).value == landau_bruteforce(n).value, n
+        brute = landau_bruteforce(n)
+        assert landau_dp(n).value == brute.value, n
+        assert math.lcm(*brute.witness.parts) == brute.value, n
+
+
+def _ascending_partitions(r, low=1):
+    """Every partition of r as non-decreasing parts, sharing no code with partitions()."""
+    if r == 0:
+        yield ()
+        return
+    for head in range(low, r + 1):
+        for tail in _ascending_partitions(r - head, head):
+            yield (head, *tail)
+
+
+def test_bruteforce_bound_is_the_largest_product_of_parts():
+    assert len(landau._MAX_PRODUCT) == landau.BRUTE_FORCE_LIMIT + 1
+    for r in range(21):
+        assert landau._MAX_PRODUCT[r] == max(math.prod(p) for p in _ascending_partitions(r)), r
 
 
 def _unbounded_dp(n_max):

@@ -9,7 +9,7 @@ import dataclasses
 from hypothesis import given
 from hypothesis import strategies as st
 
-from primelattice import cycle_decompose, factorize, gcd_lcm_set, partitions, reduce_ratio
+from primelattice import cycle_decompose, factorize, gcd_lcm_set, landau_dp, partitions, reduce_ratio
 from primelattice.lattice import add, align, join, meet
 
 nonzero = st.integers(min_value=-(10**6), max_value=10**6).filter(lambda v: v != 0)
@@ -25,6 +25,12 @@ def assert_rebuilds(value):
     assert repr(rebuilt) == repr(value)
 
 
+def assert_gcd_lcm_set_rebuilds(values):
+    res = gcd_lcm_set(values)
+    for value in (res.support, res.min_exponents, res.max_exponents, res):
+        assert_rebuilds(value)
+
+
 @given(st.one_of(positive, st.integers(min_value=1, max_value=2**64 - 1)))
 def test_factorize(n):
     assert_rebuilds(factorize(n))
@@ -32,9 +38,21 @@ def test_factorize(n):
 
 @given(st.lists(nonzero, min_size=1, max_size=6))
 def test_gcd_lcm_set(values):
-    res = gcd_lcm_set(values)
-    for value in (res.support, res.min_exponents, res.max_exponents, res):
-        assert_rebuilds(value)
+    assert_gcd_lcm_set_rebuilds(values)
+
+
+# long lists: coprime values empty the running minima early, and a common
+# factor keeps them filled to the last value
+@given(st.lists(nonzero, min_size=7, max_size=60), st.sampled_from([1, 2, 12, 97, 2**20]))
+def test_gcd_lcm_set_long_lists(values, common):
+    assert_gcd_lcm_set_rebuilds(values)
+    assert_gcd_lcm_set_rebuilds([common * v for v in values])
+
+
+def test_gcd_lcm_set_on_landau_witnesses():
+    # pairwise-coprime prime powers padded with ones
+    for n in (30, 60, 500, 2048, 10**4):
+        assert_gcd_lcm_set_rebuilds(landau_dp(n).witness.parts)
 
 
 @given(st.lists(positive, min_size=1, max_size=6))
