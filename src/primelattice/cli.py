@@ -10,6 +10,7 @@ an implementation bug rather than bad input.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import re
 import sys
@@ -45,13 +46,6 @@ _DECIMAL = re.compile(r"-?[0-9]+")
 _QUOTE_LIMIT = 20
 
 
-class _ParserExit(Exception):
-    def __init__(self, status: int, message: str | None) -> None:
-        super().__init__(message)
-        self.status = status
-        self.message = message
-
-
 class _Parser(argparse.ArgumentParser):
     """argparse reserves exit code 2 for usage errors; this CLI does not.
 
@@ -60,11 +54,8 @@ class _Parser(argparse.ArgumentParser):
     stays one short line.
     """
 
-    def exit(self, status: int = 0, message: str | None = None) -> None:
-        raise _ParserExit(status, message)
-
     def error(self, message: str) -> None:
-        raise _ParserExit(1, f"{self.format_usage()}{self.prog}: error: {message}\n")
+        self.exit(1, f"{self.format_usage()}{self.prog}: error: {message}\n")
 
     def parse_args(  # type: ignore[override]
         self, args: Sequence[str] | None = None, namespace: argparse.Namespace | None = None
@@ -258,61 +249,42 @@ def _cmd_order(args: argparse.Namespace) -> _Output:
 
 
 def _cmd_landau(args: argparse.Namespace) -> _Output:
-    method = args.method
+    n, method = args.n, args.method
+    shown = landau_bruteforce(n) if method == "brute" else landau_dp(n)
+    witness = _format_witness(shown.witness.parts)
+    result: dict[str, object] = {"n": n, "method": method, "value": shown.value}
+    record = {"command": "landau", "inputs": {"n": n, "method": method}, "result": result}
+    lines = [f"landau({n}) = {shown.value}"]
     code = 0
-    verification: dict[str, object] | None = None
     if method == "both":
-        dp = landau_dp(args.n)
-        brute = landau_bruteforce(args.n)
-        enumerated = sum(1 for _ in _part_tuples(args.n, args.n))
-        expected = partition_count(args.n)
-        agree = dp.value == brute.value
+        brute = landau_bruteforce(n)
+        enumerated = sum(1 for _ in _part_tuples(n, n))
+        expected = partition_count(n)
+        agree = shown.value == brute.value
         counts_match = enumerated == expected
-        if not (agree and counts_match):
-            code = 2
-        record_result = {
-            "n": args.n,
-            "method": "both",
-            "value": dp.value,
-            "witness_dp": list(dp.witness.parts),
-            "witness_brute": list(brute.witness.parts),
-            "partitions_enumerated": enumerated,
-            "ratio": dp.ratio,
-        }
-        verification = {
+        code = 0 if agree and counts_match else 2
+        result.update(
+            witness_dp=list(shown.witness.parts),
+            witness_brute=list(brute.witness.parts),
+            partitions_enumerated=enumerated,
+        )
+        record["verification"] = {
             "values_agree": agree,
             "partition_count_recurrence": expected,
             "partition_counts_match": counts_match,
         }
-        shown = dp
-        lines = [
-            f"landau({args.n}) = {dp.value}",
-            f"witness[dp] = {_format_witness(dp.witness.parts)}",
+        lines += [
+            f"witness[dp] = {witness}",
             f"witness[brute] = {_format_witness(brute.witness.parts)}",
             f"partitions enumerated = {enumerated}",
         ]
     else:
-        shown = landau_dp(args.n) if method == "dp" else landau_bruteforce(args.n)
-        record_result = {
-            "n": args.n,
-            "method": method,
-            "value": shown.value,
-            "witness": list(shown.witness.parts),
-            "ratio": shown.ratio,
-        }
-        lines = [
-            f"landau({args.n}) = {shown.value}",
-            f"witness = {_format_witness(shown.witness.parts)}",
-        ]
+        result["witness"] = list(shown.witness.parts)
+        lines.append(f"witness = {witness}")
+    result["ratio"] = shown.ratio
     ratio_text = _format_ratio(shown.ratio)
     lines.append(f"ratio = {ratio_text or 'n/a'}")
-    record = {"command": "landau", "inputs": {"n": args.n, "method": method}, "result": record_result}
-    if verification is not None:
-        record["verification"] = verification
-    csv_data = (
-        ["n", "g_n", "ratio", "witness"],
-        [[str(args.n), str(shown.value), ratio_text, _format_witness(shown.witness.parts)]],
-    )
+    csv_data = (["n", "g_n", "ratio", "witness"], [[str(n), str(shown.value), ratio_text, witness]])
     return _Output(record, lines, csv_data, code)
 
 
@@ -341,22 +313,22 @@ def _cmd_table(args: argparse.Namespace) -> _Output:
     return _Output(record, lines, (header, rows), 0)
 
 
-def _sweep_draws(kind: str, rng: SplitMix64, max_value: int) -> tuple[int, ...]:
-    width = {"product": 2, "distributive": 3, "oracle": 2, "roundtrip": 1}[kind]
-    return tuple(rng.randint(1, max_value) for _ in range(width))
+def _oracle_agrees(a: int, b: int) -> bool:
+    res = gcd_lcm_set([a, b])
+    return res.gcd == gcd_euclid(a, b) and res.gcd * res.lcm == a * b
+
+
+# kind -> (values per draw, the identity each draw must satisfy)
+_SWEEPS = {
+    "product": (2, lambda a, b: check_product_identity(a, b).holds),
+    "distributive": (3, lambda a, b, c: check_distributive_identity(a, b, c).holds),
+    "oracle": (2, _oracle_agrees),
+    "roundtrip": (1, lambda n: reconstruct(factorize(n)) == n),
+}
 
 
 def _sweep_check(kind: str, draw: tuple[int, ...]) -> bool:
-    if kind == "product":
-        return check_product_identity(*draw).holds
-    if kind == "distributive":
-        return check_distributive_identity(*draw).holds
-    if kind == "oracle":
-        a, b = draw
-        res = gcd_lcm_set([a, b])
-        return res.gcd == gcd_euclid(a, b) and res.gcd * res.lcm == a * b
-    n = draw[0]
-    return reconstruct(factorize(n)) == n
+    return _SWEEPS[kind][1](*draw)
 
 
 def verify_sweep(kind: str, count: int, seed: int, max_value: int) -> dict:
@@ -369,14 +341,15 @@ def verify_sweep(kind: str, count: int, seed: int, max_value: int) -> dict:
         raise DomainError(
             f"distributive sweeps need max <= {_DISTRIBUTIVE_MAX} to keep pairwise lcms inside the 64-bit input range"
         )
-    if kind in ("oracle", "product", "roundtrip") and max_value > MAX_INPUT:
+    if max_value > MAX_INPUT:
         raise DomainError(f"max must stay within the 64-bit input range, got {max_value}")
+    width = _SWEEPS[kind][0]
     rng = SplitMix64(seed)
     passed = 0
     failed = 0
     counterexample: list[int] | None = None
     for _ in range(count):
-        draw = _sweep_draws(kind, rng, max_value)
+        draw = tuple(rng.randint(1, max_value) for _ in range(width))
         if _sweep_check(kind, draw):
             passed += 1
         else:
@@ -462,7 +435,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out", metavar="FILE", default=None)
 
     p = sub.add_parser("verify", parents=[common], help="seeded randomized identity sweeps")
-    p.add_argument("--kind", choices=("product", "distributive", "oracle", "roundtrip"), required=True)
+    p.add_argument("--kind", choices=tuple(_SWEEPS), required=True)
     p.add_argument("--count", type=_decimal_int, required=True)
     p.add_argument("--seed", type=_decimal_int, required=True)
     p.add_argument("--max", type=_decimal_int, required=True)
@@ -487,15 +460,18 @@ def run(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except _ParserExit as ex:
-        if ex.message:
-            print(ex.message, end="", file=sys.stderr)
-        return ex.status
+    except SystemExit as ex:
+        # argparse has printed the help (code 0) or the usage error (code 1)
+        return ex.code
     try:
         out = _HANDLERS[args.command](args)
     except (DomainError, OSError) as ex:
-        # OSError can only come from writing table --out
-        print(f"error: {ex}", file=sys.stderr)
+        message = str(ex)
+        # OSError can only come from writing table --out; a name refused for
+        # its length is quoted by a prefix, any other name whole
+        if isinstance(ex, OSError) and ex.errno == errno.ENAMETOOLONG:
+            message = f"[Errno {ex.errno}] {ex.strerror}: {_quoted(ex.filename)}"
+        print(f"error: {message}", file=sys.stderr)
         return 1
     _emit(args.format, out)
     return out.code

@@ -182,8 +182,8 @@ def factorize(n: int) -> Factorization:
 def _prime_powers(n: int) -> dict[int, int]:
     """Map each prime of an int n to its exponent, in no particular order.
 
-    Every key is proved prime on the way (by the table, by Miller-Rabin, or
-    by p * p > m), so callers build their results from it without re-proof.
+    Every key is proved prime on the way (by the sieve, by the table, or by
+    Miller-Rabin), so callers build their results from it without re-proof.
     """
     global _odd_spf
     if n < 1:
@@ -195,9 +195,8 @@ def _prime_powers(n: int) -> dict[int, int]:
     if m > _SPF_CAP:
         if is_prime(m):
             return {m: 1}
+        # m stays composite here and its least prime factor is >= p, so p * p <= m
         for p in _trial_primes():
-            if p * p > m:
-                break
             if m % p == 0:
                 e = 0
                 while m % p == 0:
@@ -221,7 +220,7 @@ def _prime_powers(n: int) -> dict[int, int]:
                     else:
                         stack.append(f)
         if m > TRIAL_CUTOFF:
-            # proved prime by a test or by p * p > m, and above every stripped prime
+            # proved prime by is_prime, and above every stripped prime
             powers[m] = 1
             return powers
     # m is n itself, up to _SPF_CAP, or a cofactor <= TRIAL_CUTOFF

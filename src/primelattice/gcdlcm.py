@@ -1,7 +1,7 @@
 """n-ary gcd and lcm from prime exponent vectors, plus the classical
 identities that cross-check them and Euclidean ratio reduction.
 
-The exponent route factors every input; the subtraction-based Euclidean
+The exponent route factors every input; the remainder-based Euclidean
 gcd never factors anything, which makes it an independent oracle for the
 lattice computation.
 """
@@ -133,7 +133,7 @@ def gcd_lcm_set(values: Sequence[int]) -> GcdLcmResult:
 
 def gcd_euclid(a: int, b: int) -> int:
     """Euclidean gcd by remainder alternation; no factoring involved."""
-    a, b = abs(a), abs(b)
+    a, b = map(abs, _integers((a, b), "gcd_euclid arguments"))
     while b:
         a, b = b, a % b
     return a
@@ -152,6 +152,7 @@ def reduce_ratio(a: int, b: int) -> ReducedRatio:
 
 def check_product_identity(a: int, b: int) -> ProductCheck:
     """Compare gcd * lcm against a * b for positive a and b."""
+    a, b = _integers((a, b), "product identity check inputs")
     if a < 1 or b < 1:
         raise DomainError("product identity check expects positive integers")
     res = gcd_lcm_set([a, b])
@@ -169,6 +170,7 @@ def check_distributive_identity(a: int, b: int, c: int) -> DistributiveCheck:
     The integer route nests gcd_lcm_set calls, so the pairwise lcms it
     factors must stay below 2**64; inputs up to 2**32 - 1 are always safe.
     """
+    a, b, c = _integers((a, b, c), "distributive identity check inputs")
     for v in (a, b, c):
         if v < 1:
             raise DomainError("distributive identity check expects positive integers")

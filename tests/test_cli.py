@@ -1,13 +1,17 @@
+import contextlib
+import errno
 import io
 import json
-import contextlib
+import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 from primelattice import cli
+from primelattice.rng import SplitMix64
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -107,6 +111,7 @@ class TestNumberParsing:
 
     def test_leading_zeros_parse_as_decimal(self):
         assert run_cli(["factor", "007"])[1] == "7 = 7\n"
+        assert run_cli(["factor", "0001"])[1] == "1 = 1\n"
 
     @pytest.mark.parametrize(
         "argv",
@@ -166,6 +171,15 @@ class TestFormats:
         assert code == 0
         record = json.loads(out, object_pairs_hook=lambda pairs: pairs)
         assert [k for k, _ in record] == ["command", "inputs", "result", "verification"]
+        landau_keys = {
+            "both": ["n", "method", "value", "witness_dp", "witness_brute", "partitions_enumerated", "ratio"],
+            "brute": ["n", "method", "value", "witness", "ratio"],
+        }
+        for method, keys in landau_keys.items():
+            _, out, _ = run_cli(["landau", "5", "--method", method, "--format", "json"])
+            record = json.loads(out, object_pairs_hook=lambda pairs: pairs)
+            assert [k for k, _ in record][:3] == ["command", "inputs", "result"]
+            assert [k for k, _ in dict(record)["result"]] == keys
 
     def test_json_payload(self):
         record = run_json(["gcd", "60", "90"])
@@ -232,6 +246,13 @@ class TestOrderCommand:
         assert record["result"]["order"] == 1001000
         assert record["verification"]["checked"] is False
 
+    def test_power_iteration_mismatch_exits_2(self, monkeypatch):
+        # no real permutation can fail the check, so fault-inject it
+        monkeypatch.setattr(cli, "verify_order", lambda perm, m: False)
+        code, out, _ = run_cli(["order", "--cycles", "3,2", "--format", "json"])
+        assert code == 2
+        assert json.loads(out)["verification"] == {"method": "power_iteration", "checked": True, "confirmed": False}
+
     def test_requires_exactly_one_input_form(self):
         assert run_cli(["order"])[0] == 1
         assert run_cli(["order", "--cycles", "2", "--perm", "1"])[0] == 1
@@ -251,6 +272,18 @@ class TestLandauCommand:
         assert record["result"]["partitions_enumerated"] == 7
         assert record["verification"]["values_agree"] is True
         assert record["verification"]["partition_count_recurrence"] == 7
+
+    def test_disagreeing_routes_or_counts_exit_2(self, monkeypatch):
+        # the two routes and the two counts always agree, so fault-inject each
+        for name, fake, failed in [
+            ("landau_bruteforce", lambda n: cli.landau_dp(n + 2), "values_agree"),
+            ("partition_count", lambda n: 8, "partition_counts_match"),
+        ]:
+            with monkeypatch.context() as patched:
+                patched.setattr(cli, name, fake)
+                code, out, _ = run_cli(["landau", "5", "--method", "both", "--format", "json"])
+            assert code == 2
+            assert json.loads(out)["verification"][failed] is False
 
     def test_single_method_csv_has_empty_ratio_for_n_1(self):
         _, out, _ = run_cli(["landau", "1", "--format", "csv"])
@@ -290,10 +323,22 @@ class TestTableCommand:
         assert target.read_text() == stdout_csv
 
     def test_out_to_missing_directory_is_an_error(self, tmp_path):
-        code, out, err = run_cli(["table", "--max", "6", "--out", str(tmp_path / "missing" / "t.csv")])
+        target = str(tmp_path / "missing" / "t.csv")
+        code, out, err = run_cli(["table", "--max", "6", "--out", target])
         assert code == 1
-        assert err.startswith("error: ")
-        assert "Traceback" not in err
+        # a name the OS accepted prints whole, however long
+        assert err == f"error: [Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: {target!r}\n"
+        assert out == ""
+
+    def test_out_name_too_long_is_quoted_by_a_prefix(self, tmp_path):
+        # str(OSError) quoted the whole name, over 5,000 bytes of stderr here
+        target = str(tmp_path / ("x" * 5000))
+        code, out, err = run_cli(["table", "--max", "6", "--out", target])
+        assert code == 1
+        assert err == (
+            f"error: [Errno {errno.ENAMETOOLONG}] {os.strerror(errno.ENAMETOOLONG)}: "
+            f"{target[:20]!r}... ({len(target)} characters)\n"
+        )
         assert out == ""
 
     def test_json_rows(self):
@@ -313,18 +358,44 @@ class TestVerifyCommand:
         assert code == 0
         assert f"{count} passed, 0 failed" in out
 
+    @pytest.mark.parametrize(
+        "kind, name, fake",
+        [
+            ("product", "check_product_identity", lambda a, b: SimpleNamespace(holds=False)),
+            ("distributive", "check_distributive_identity", lambda a, b, c: SimpleNamespace(holds=False)),
+            ("oracle", "gcd_euclid", lambda a, b: 0),
+            ("roundtrip", "reconstruct", lambda fac: 0),
+        ],
+        ids=["product", "distributive", "oracle", "roundtrip"],
+    )
+    def test_each_kind_checks_its_own_identity(self, monkeypatch, kind, name, fake):
+        # break only the route this kind must call; every draw then fails
+        monkeypatch.setattr(cli, name, fake)
+        code, out, _ = run_cli(["verify", "--kind", kind, "--count", "3", "--seed", "1", "--max", "100"])
+        assert code == 2
+        assert "0 passed, 3 failed" in out
+
     def test_draws_are_reproducible(self):
         argv = ["verify", "--kind", "product", "--count", "50", "--seed", "9", "--max", "1000", "--format", "json"]
         assert run_cli(argv) == run_cli(argv)
 
     def test_distributive_max_guard(self):
-        code, _, err = run_cli(["verify", "--kind", "distributive", "--count", "1", "--seed", "1", "--max", str(2**33)])
-        assert code == 1
-        assert "64-bit" in err
+        for maxv in (2**33, 2**64):
+            code, _, err = run_cli(["verify", "--kind", "distributive", "--count", "1", "--seed", "1", "--max", str(maxv)])
+            assert code == 1
+            assert "64-bit" in err
+            assert "max <= 4294967295" in err
 
     def test_count_and_max_preconditions(self):
         assert run_cli(["verify", "--kind", "product", "--count", "0", "--seed", "1", "--max", "10"])[0] == 1
         assert run_cli(["verify", "--kind", "product", "--count", "1", "--seed", "1", "--max", "1"])[0] == 1
+        for kind in ("product", "oracle", "roundtrip"):
+            code, _, err = run_cli(["verify", "--kind", kind, "--count", "1", "--seed", "1", "--max", str(2**64)])
+            assert (code, err) == (1, f"error: max must stay within the 64-bit input range, got {2**64}\n")
+
+    def test_rng_rejects_an_empty_range(self):
+        with pytest.raises(ValueError, match="empty range"):
+            SplitMix64(1).randint(5, 4)
 
 
 def test_module_entry_point_is_deterministic():

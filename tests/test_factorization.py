@@ -229,11 +229,14 @@ class TestFactorize:
         assert sorted(is_prime_calls[1:]) == [10**9 + 7, 10**9 + 9]
 
     def test_trial_loop_reads_the_shared_sieve(self, monkeypatch):
-        # primes_up_to hands out a fresh list; the trial loop must not copy the sieve per input
-        def copying_primes_up_to(limit):
-            raise AssertionError(f"factorize copied the sieve up to {limit}")
+        # the trial loop walks the primes sieved once into _trial_primes; it
+        # must not sieve again per input
+        factorization._trial_primes()
 
-        monkeypatch.setattr(factorization, "primes_up_to", copying_primes_up_to)
+        def sieving_again(limit):
+            raise AssertionError(f"factorize sieved again up to {limit}")
+
+        monkeypatch.setattr(factorization, "_eratosthenes", sieving_again)
         assert factorize(1_000_003 * 1_000_033).entries == ((1_000_003, 1), (1_000_033, 1))
         assert factorize(4_294_967_279 * 4_294_967_291).entries == (
             (4_294_967_279, 1),

@@ -131,6 +131,8 @@ def test_result_type_rejects_inconsistent_fields():
     maxs = ExponentVector(support, (2,))
     with pytest.raises(DomainError):
         GcdLcmResult(gcd=3, lcm=4, support=support, min_exponents=mins, max_exponents=maxs)
+    with pytest.raises(DomainError, match="lcm does not match"):
+        GcdLcmResult(gcd=2, lcm=8, support=support, min_exponents=mins, max_exponents=maxs)
     with pytest.raises(DomainError):
         # min exponents above max exponents
         GcdLcmResult(gcd=4, lcm=2, support=support, min_exponents=maxs, max_exponents=mins)
@@ -214,6 +216,11 @@ class TestReduceRatio:
     def test_type_rejects_non_coprime(self):
         with pytest.raises(DomainError):
             ReducedRatio(2, 4)
+
+    @pytest.mark.parametrize("left, right", [(0, 1), (-1, 2), (3, -2)])
+    def test_type_rejects_terms_that_are_not_positive(self, left, right):
+        with pytest.raises(DomainError, match="positive"):
+            ReducedRatio(left, right)
 
     @given(nonzero, nonzero)
     def test_reduction_properties(self, a, b):

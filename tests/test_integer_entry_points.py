@@ -13,9 +13,11 @@ from primelattice import (
     PrimeSupport,
     ReducedRatio,
     asymptotic_table,
+    check_distributive_identity,
     check_product_identity,
     cycle_decompose,
     factorize,
+    gcd_euclid,
     gcd_lcm_set,
     is_prime,
     landau_bruteforce,
@@ -56,6 +58,10 @@ NON_INTEGER_CALLS = {
     "cycle_decompose-bool": lambda: cycle_decompose([True]),
     "verify_order-bool-entry": lambda: verify_order([True], 1),
     "verify_order-float-m": lambda: verify_order([2, 1], 2.0),
+    "gcd_euclid-fraction": lambda: gcd_euclid(4.5, 3),
+    "gcd_euclid-bool": lambda: gcd_euclid(True, 4),
+    "check_product_identity-str": lambda: check_product_identity("7", 3),
+    "check_distributive_identity-none": lambda: check_distributive_identity(2, None, 3),
     # the domain types used to truncate these with int()
     "Factorization-float": lambda: Factorization(((2.9, 1.5),)),
     "Factorization-bool": lambda: Factorization(((2, True),)),

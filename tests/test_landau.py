@@ -287,6 +287,10 @@ class TestPrimeBoundedDp:
 
 
 class TestLandauRecordType:
+    def test_rejects_n_below_1(self):
+        with pytest.raises(DomainError, match="positive n"):
+            LandauRecord(n=0, value=1, witness=Partition(()), ratio=None)
+
     def test_rejects_witness_sum_mismatch(self):
         with pytest.raises(DomainError):
             LandauRecord(n=6, value=6, witness=Partition((3, 2)), ratio=None)
