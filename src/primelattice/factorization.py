@@ -7,11 +7,10 @@ odd part lies in (TRIAL_CUTOFF, _SPF_CAP] rebuilds it once to _SPF_CAP =
 10**6 (1 MB, about 5 ms). Primality tests and the cofactors of larger
 inputs only read whichever table is there, so a program that factors only
 64-bit values never builds the full one. Past the table, is_prime runs
-Miller-Rabin with the smallest witness set proven for n's range:
-(2, 3) below 1,373,653 (Pomerance, Selfridge and Wagstaff 1980),
-(2, 7, 61) below 4,759,123,141 and (2, 13, 23, 1662803) below
-1,122,004,669,633 (Jaeschke 1993), and a 7-base set exact below 2**64 past
-that. An input up to _SPF_CAP loses its 2s by a bit trick and its odd part
+Miller-Rabin with one 7-base witness set, exact for every n below 2**64. A
+base that n divides is skipped: past TRIAL_CUTOFF only the primes 407,521
+and 299,210,837 divide a base, and base 2 rejects every composite that
+does. An input up to _SPF_CAP loses its 2s by a bit trick and its odd part
 comes apart by lookups. Any larger one is tested, trial division by the
 primes up to TRIAL_CUTOFF strips small factors until the cofactor is 1,
 prime, or small enough to finish from the table, and Brent-cycle Pollard
@@ -41,15 +40,8 @@ _RHO_SEED = 0x517CC1B727220A95
 _SPF_CAP = 10**6
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-# (bound, bases): Miller-Rabin with these bases is exact for every n < bound.
-# A set meets only n from the bound before it (or TRIAL_CUTOFF) up, so each
-# base is below every n it meets and never reduces to 0 mod n.
-_MR_WITNESSES = (
-    (1_373_653, (2, 3)),
-    (4_759_123_141, (2, 7, 61)),
-    (1_122_004_669_633, (2, 13, 23, 1662803)),
-    (MAX_INPUT + 1, (2, 325, 9375, 28178, 450775, 9780504, 1795265022)),
-)
+# Miller-Rabin with these bases is exact for every n < 2**64.
+_MR_BASES = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
 
 
 def is_prime(n: int) -> bool:
@@ -77,13 +69,13 @@ def _miller_rabin(n: int) -> bool:
     for p in _SMALL_PRIMES:
         if n % p == 0:
             return False
-    for bound, bases in _MR_WITNESSES:
-        if n < bound:
-            break
     d = n - 1
     s = (d & -d).bit_length() - 1
     d >>= s
-    for a in bases:
+    for a in _MR_BASES:
+        if a % n == 0:
+            # a base that n divides reads 0 and would call even a prime n composite
+            continue
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue

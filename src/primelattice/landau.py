@@ -189,10 +189,9 @@ class _DpTable:
     choices[i][b] stores the exponent picked for primes[i] at budget b, 0
     when that prime is skipped, which is enough to walk a witness back out.
     Primes larger than a budget can never be picked for it, and the prime
-    bound grows with n, so one table serves every n up to n_max at once.
+    bound grows with n, so one table serves every n below len(values) at once.
     """
 
-    n_max: int
     primes: tuple[int, ...]
     values: tuple[int, ...]
     choices: tuple[bytes, ...]
@@ -223,20 +222,21 @@ def _build_table(n_max: int) -> _DpTable:
                 values[budget] = best
                 row[budget] = picked
         choices.append(bytes(row))
-    return _DpTable(n_max, tuple(primes), tuple(values), tuple(choices))
+    return _DpTable(tuple(primes), tuple(values), tuple(choices))
 
 
 # Rebound, never mutated: a reader takes one reference and returns a table
-# that covers its n, so two threads that grow it at once only build twice.
+# that covers its n, so two threads that grow it at once only build twice. A
+# miss builds to n or to twice the cached size, so ascending n rebuild O(log n) times.
 _dp_cached: _DpTable | None = None
 
 
 def _dp_table(n_max: int) -> _DpTable:
     global _dp_cached
     table = _dp_cached
-    have = table.n_max if table else 0
+    have = len(table.values) - 1 if table else 0
     if have < n_max:
-        table = _dp_cached = _build_table(min(DP_LIMIT, max(n_max, 2 * have, 1 << 10)))
+        table = _dp_cached = _build_table(min(DP_LIMIT, max(n_max, 2 * have)))
     return table
 
 

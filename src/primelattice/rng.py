@@ -12,6 +12,8 @@ the identical draw sequence on any platform or language:
 
 from __future__ import annotations
 
+from .errors import _integer, _integers
+
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
@@ -24,7 +26,7 @@ class SplitMix64:
     __slots__ = ("state",)
 
     def __init__(self, seed: int) -> None:
-        self.state = seed & _MASK64
+        self.state = _integer(seed, "SplitMix64 requires an integer seed") & _MASK64
 
     def next_u64(self) -> int:
         """Advance the state once and return the mixed 64-bit output."""
@@ -40,6 +42,8 @@ class SplitMix64:
         The modulo bias is below span / 2**64, which is irrelevant for the
         test sweeps this generator exists for.
         """
+        if type(lo) is not int or type(hi) is not int:
+            lo, hi = _integers((lo, hi), "randint bounds")
         if lo > hi:
             raise ValueError(f"empty range [{lo}, {hi}]")
         return lo + self.next_u64() % (hi - lo + 1)

@@ -22,8 +22,9 @@ MERSENNE_PRIME_61 = 2**61 - 1
 CARMICHAELS = [561, 1105, 1729, 2465, 2821, 6601, 8911, 10585, 15841, 29341, 41041, 9746347772161]
 
 
-# The first strong pseudoprime to each witness set is_prime uses below 2**64,
-# with the set's bases: each is the exclusive bound of its set's range.
+# The first strong pseudoprime to each of the classical smaller witness sets,
+# with the set's bases: composites built to pass Miller-Rabin with a subset
+# of small bases, which the 7-base set is_prime runs must still reject.
 FIRST_STRONG_PSEUDOPRIMES = {
     829 * 1657: (2, 3),
     48_781 * 97_561: (2, 7, 61),
@@ -130,7 +131,7 @@ class TestIsPrime:
 
     @pytest.mark.parametrize("n", FIRST_STRONG_PSEUDOPRIMES, ids=str)
     def test_first_strong_pseudoprime_of_each_witness_set(self, n):
-        # n fools its own set, so the next set has to take it
+        # n passes these bases, so is_prime has to reject it on its own bases
         assert all(_strong_probable_prime(n, a) for a in FIRST_STRONG_PSEUDOPRIMES[n])
         assert not is_prime(n)
 

@@ -102,10 +102,13 @@ def test_is_prime_on_64bit_integers(n):
     _agrees_with_sympy(n)
 
 
-# is_prime's witness ranges above TRIAL_CUTOFF: the smallest proven set for
-# each, then the 7-base set up to 2**64. is_prime answers n <= 10**6 from its
-# table once an input to factoring has built it to the cap, so these tests
-# also call Miller-Rabin directly, whatever ran before.
+# The exact bounds of the classical smaller witness sets, (2, 3), (2, 7, 61)
+# and (2, 13, 23, 1662803), each the first strong pseudoprime to its set: they
+# split the range above TRIAL_CUTOFF into pieces that each get their own draws,
+# and their neighbourhoods are adversarial inputs for the one 7-base set
+# is_prime runs. is_prime answers n <= 10**6 from its table once an input to
+# factoring has built it to the cap, so these tests also call Miller-Rabin
+# directly, whatever ran before.
 WITNESS_BOUNDS = (1_373_653, 4_759_123_141, 1_122_004_669_633)
 WITNESS_RANGES = tuple(zip((TRIAL_CUTOFF + 1,) + WITNESS_BOUNDS, WITNESS_BOUNDS + (MAX_INPUT + 1,)))
 
@@ -144,6 +147,21 @@ def test_is_prime_on_either_side_of_each_bound(bound):
 @given(st.sampled_from(STRONG_PSEUDOPRIMES), st.integers(-64, 64))
 def test_is_prime_near_strong_pseudoprimes(psi, offset):
     _agrees_with_sympy(psi + offset)
+
+
+# Miller-Rabin skips a base that n divides, which would read 0 even for a
+# prime n; past TRIAL_CUTOFF that n is 407,521 or 299,210,837, both prime, or
+# a composite that base 2 rejects.
+BASE_DIVISORS = sorted(
+    {d for a in (325, 9375, 28178, 450775, 9780504, 1795265022) for d in sympy.divisors(a) if d > TRIAL_CUTOFF}
+)
+
+
+def test_is_prime_on_divisors_of_the_witness_bases():
+    assert len(BASE_DIVISORS) == 19
+    assert [d for d in BASE_DIVISORS if sympy.isprime(d)] == [407_521, 299_210_837]
+    for n in BASE_DIVISORS:
+        _witnesses_agree_with_sympy(n)
 
 
 def _chernick_carmichael(k):

@@ -29,6 +29,8 @@ from primelattice import (
     verify_order,
 )
 from primelattice import factorization
+from primelattice.cli import verify_sweep
+from primelattice.rng import SplitMix64
 
 
 def _gcd_lcm_result(*values, gcd, lcm):
@@ -62,6 +64,16 @@ NON_INTEGER_CALLS = {
     "gcd_euclid-bool": lambda: gcd_euclid(True, 4),
     "check_product_identity-str": lambda: check_product_identity("7", 3),
     "check_distributive_identity-none": lambda: check_distributive_identity(2, None, 3),
+    # verify_sweep ended in a TypeError on these, or echoed count=True as true
+    "verify_sweep-count-float": lambda: verify_sweep("product", 2.5, 1, 10),
+    "verify_sweep-count-bool": lambda: verify_sweep("product", True, 1, 10),
+    "verify_sweep-seed-float": lambda: verify_sweep("product", 2, 1.5, 10),
+    "verify_sweep-max-bool": lambda: verify_sweep("product", 2, 1, True),
+    # SplitMix64 ended in a TypeError or took a bool; randint returned a float
+    "SplitMix64-float": lambda: SplitMix64(1.5),
+    "SplitMix64-bool": lambda: SplitMix64(True),
+    "randint-float": lambda: SplitMix64(1).randint(1, 2.5),
+    "randint-bool": lambda: SplitMix64(1).randint(False, 2),
     # the domain types used to truncate these with int()
     "Factorization-float": lambda: Factorization(((2.9, 1.5),)),
     "Factorization-bool": lambda: Factorization(((2, True),)),
@@ -122,6 +134,14 @@ HUGE_INTEGER_CALLS = {
 def test_public_entries_reject_huge_integers(call):
     with pytest.raises(DomainError, match="16610-bit integer"):
         call()
+
+
+def test_verify_sweep_names_the_kinds_on_an_unknown_one():
+    # ended in a bare KeyError, or a TypeError for an unhashable kind
+    with pytest.raises(DomainError, match="kind must be one of product, distributive, oracle, roundtrip, got 'nope'"):
+        verify_sweep("nope", 1, 1, 10)
+    with pytest.raises(DomainError, match=r"got \['product'\]"):
+        verify_sweep(["product"], 1, 1, 10)
 
 
 def test_partition_count_caps_n_before_allocating():

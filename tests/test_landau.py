@@ -259,6 +259,19 @@ class TestPrimeBoundedDp:
         assert len(table.primes) == 79
         assert table.primes[-1] == 401
 
+    def test_cache_grows_to_the_request_or_double_its_size(self, monkeypatch):
+        monkeypatch.setattr(landau, "_dp_cached", None)
+        landau_dp(5)
+        assert len(landau._dp_cached.values) == 6
+        asymptotic_table(100)
+        assert len(landau._dp_cached.values) == 101
+        landau_dp(101)
+        assert len(landau._dp_cached.values) == 201
+        landau_dp(6000)
+        assert len(landau._dp_cached.values) == 6001
+        landau_dp(6001)
+        assert len(landau._dp_cached.values) == DP_LIMIT + 1
+
     def test_threads_growing_the_cache_at_once_agree(self, monkeypatch):
         # the cache is rebound without a lock and each caller keeps the table
         # it read or built, so a race can only build a table twice
