@@ -26,7 +26,6 @@ from .gcdlcm import (
     reduce_ratio,
 )
 from .landau import (
-    BRUTE_FORCE_LIMIT,
     _part_tuples,
     asymptotic_table,
     landau_bruteforce,
@@ -304,7 +303,7 @@ def _cmd_table(args: argparse.Namespace) -> _Output:
         },
     }
     csv_text = "\n".join([",".join(header)] + [",".join(row) for row in rows]) + "\n"
-    if args.out:
+    if args.out is not None:
         with open(args.out, "w", encoding="ascii") as fh:
             fh.write(csv_text)
         lines = [f"wrote {len(rows)} rows to {args.out}"]

@@ -1,25 +1,20 @@
 """Prime factorization of 64-bit integers.
 
-One smallest-prime-factor table over odd n, one uint16 each and 0 where n
-is prime, answers primality and factoring at the low end. It covers
-n <= TRIAL_CUTOFF from import (10 KB). The first input to factoring whose
-odd part lies in (TRIAL_CUTOFF, _SPF_CAP] rebuilds it once to _SPF_CAP =
-10**6 (1 MB, about 5 ms). Primality tests and the cofactors of larger
-inputs only read whichever table is there, so a program that factors only
-64-bit values never builds the full one. Past the table, is_prime runs
-Miller-Rabin with one 7-base witness set, exact for every n below 2**64. A
-base that n divides is skipped: past TRIAL_CUTOFF only the primes 407,521
-and 299,210,837 divide a base, and base 2 rejects every composite that
-does. An input up to _SPF_CAP loses its 2s by a bit trick and its odd part
-comes apart by lookups. Any larger one is tested, trial division by the
-primes up to TRIAL_CUTOFF strips small factors until the cofactor is 1,
-prime, or small enough to finish from the table, and Brent-cycle Pollard
-rho splits whatever survives the trial range.
+One smallest-prime-factor table over odd n up to _SPF_CAP = 10**6, one
+uint16 each and 0 where n is prime, is built at import (1 MB, 5-7 ms)
+and answers primality and factoring there by lookups. Past the table,
+is_prime runs Miller-Rabin with one 7-base witness set, exact for every n
+below 2**64. A base that n divides is skipped: past _SPF_CAP only the prime
+299,210,837 divides a base, and base 2 rejects every composite that does.
+An input up to _SPF_CAP loses its 2s by a bit trick and its odd part comes
+apart by lookups. Any larger one is tested, trial division by the primes up
+to TRIAL_CUTOFF strips small factors until the cofactor is prime or small
+enough to finish from the table, and Brent-cycle Pollard rho splits
+whatever survives the trial range.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from array import array
 from dataclasses import dataclass
@@ -36,7 +31,8 @@ TRIAL_CUTOFF = 10**4
 # primes_up_to sieves per call; the cap bounds the memory a caller's limit buys.
 _SIEVE_CAP = 10**7
 _RHO_SEED = 0x517CC1B727220A95
-# Every odd composite n <= 10**6 has a prime factor <= 999, so uint16 holds it.
+# The table answers up to here; every odd composite n <= 10**6 has a prime
+# factor <= 999, so uint16 holds it.
 _SPF_CAP = 10**6
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -53,11 +49,9 @@ def is_prime(n: int) -> bool:
     """
     if type(n) is not int:
         n = _integer(n, "primality test requires an integer")
-    odd_spf = _odd_spf
-    # every table covers TRIAL_CUTOFF, so only larger n need the length
-    if n <= TRIAL_CUTOFF or n >> 1 < len(odd_spf):
+    if n <= _SPF_CAP:
         if n & 1:
-            return n > 1 and not odd_spf[n >> 1]
+            return n > 1 and not _odd_spf[n >> 1]
         return n == 2
     if n > MAX_INPUT:
         raise DomainError(f"primality test supports n < 2**64, got {_shown(n)}")
@@ -65,7 +59,7 @@ def is_prime(n: int) -> bool:
 
 
 def _miller_rabin(n: int) -> bool:
-    """Primality of TRIAL_CUTOFF < n < 2**64 without the table."""
+    """Primality of _SPF_CAP < n < 2**64 without the table."""
     for p in _SMALL_PRIMES:
         if n % p == 0:
             return False
@@ -111,16 +105,9 @@ def _odd_spf_table(limit: int) -> array:
     return odd_spf
 
 
-# Rebound once, to the _SPF_CAP table, by the first input that needs it; a
-# reader takes one local reference, and two threads that both rebuild it
-# only build the same table twice.
-_odd_spf = _odd_spf_table(TRIAL_CUTOFF)
-
-
-@functools.cache
-def _trial_primes() -> tuple[int, ...]:
-    """The 1,229 primes <= TRIAL_CUTOFF, which the trial loop walks."""
-    return tuple(_eratosthenes(TRIAL_CUTOFF))
+_odd_spf = _odd_spf_table(_SPF_CAP)
+# the 1,229 primes the trial loop walks
+_TRIAL_PRIMES = tuple(_eratosthenes(TRIAL_CUTOFF))
 
 
 def primes_up_to(limit: int) -> list[int]:
@@ -177,7 +164,6 @@ def _prime_powers(n: int) -> dict[int, int]:
     Every key is proved prime on the way (by the sieve, by the table, or by
     Miller-Rabin), so callers build their results from it without re-proof.
     """
-    global _odd_spf
     if n < 1:
         raise DomainError(f"factorization is defined for positive integers, got {_shown(n)}")
     if n > MAX_INPUT:
@@ -188,15 +174,15 @@ def _prime_powers(n: int) -> dict[int, int]:
         if is_prime(m):
             return {m: 1}
         # m stays composite here and its least prime factor is >= p, so p * p <= m
-        for p in _trial_primes():
+        for p in _TRIAL_PRIMES:
             if m % p == 0:
                 e = 0
                 while m % p == 0:
                     m //= p
                     e += 1
                 powers[p] = e
-                # the table finishes a small cofactor, and a prime one ends the scan
-                if m <= TRIAL_CUTOFF or is_prime(m):
+                # the table finishes a cofactor up to _SPF_CAP, and a prime one ends the scan
+                if m <= _SPF_CAP or is_prime(m):
                     break
         else:
             # the trial primes ran out with the cofactor still composite
@@ -211,20 +197,16 @@ def _prime_powers(n: int) -> dict[int, int]:
                         powers[f] = powers.get(f, 0) + 1
                     else:
                         stack.append(f)
-        if m > TRIAL_CUTOFF:
+        if m > _SPF_CAP:
             # proved prime by is_prime, and above every stripped prime
             powers[m] = 1
             return powers
-    # m is n itself, up to _SPF_CAP, or a cofactor <= TRIAL_CUTOFF
+    # m is n itself or a cofactor, up to _SPF_CAP
     if not m & 1:
         e = (m & -m).bit_length() - 1
         powers[2] = e
         m >>= e
-    odd_spf = _odd_spf
-    if m > TRIAL_CUTOFF and m >> 1 >= len(odd_spf):
-        # an odd part past the table from import: build the full one, once
-        _odd_spf = odd_spf = _odd_spf_table(_SPF_CAP)
-    while p := odd_spf[m >> 1]:
+    while p := _odd_spf[m >> 1]:
         powers[p] = powers.get(p, 0) + 1
         m //= p
     if m > 1:

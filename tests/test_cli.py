@@ -330,6 +330,13 @@ class TestTableCommand:
         assert err == f"error: [Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: {target!r}\n"
         assert out == ""
 
+    def test_empty_out_name_is_an_error(self):
+        # an empty name is a name the OS refuses, not a request for stdout
+        code, out, err = run_cli(["table", "--max", "6", "--out", ""])
+        assert code == 1
+        assert err == f"error: [Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: ''\n"
+        assert out == ""
+
     def test_out_name_too_long_is_quoted_by_a_prefix(self, tmp_path):
         # str(OSError) quoted the whole name, over 5,000 bytes of stderr here
         target = str(tmp_path / ("x" * 5000))

@@ -1,7 +1,6 @@
-import math
 import random
+import subprocess
 import sys
-import threading
 
 import pytest
 from hypothesis import given, settings
@@ -62,18 +61,6 @@ def _trial_division_powers(n: int) -> dict[int, int]:
     return powers
 
 
-def _odd_spf_limit() -> int:
-    """The largest odd n the smallest-prime-factor table covers."""
-    return 2 * len(factorization._odd_spf) - 1
-
-
-@pytest.fixture
-def small_odd_spf(monkeypatch):
-    """Start the test with the table factorization builds at import, up to
-    TRIAL_CUTOFF, and put the table in use before it back afterwards."""
-    monkeypatch.setattr(factorization, "_odd_spf", factorization._odd_spf_table(TRIAL_CUTOFF))
-
-
 def _trial_division_is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -116,16 +103,8 @@ class TestIsPrime:
         # a negative n must never index the table from its end
         assert not any(is_prime(n) for n in range(-2 * _SPF_CAP, 2))
 
-    def test_matches_a_sieve_up_to_2e6(self, small_odd_spf):
-        # the table up to TRIAL_CUTOFF, then the two- and three-base ranges
-        assert _odd_spf_limit() == TRIAL_CUTOFF - 1
-        flags = _sieve(2 * 10**6)
-        assert [n for n in range(2 * 10**6 + 1) if is_prime(n) != flags[n]] == []
-
-    def test_matches_a_sieve_up_to_2e6_with_the_full_table(self, small_odd_spf):
+    def test_matches_a_sieve_up_to_2e6(self):
         # lookups up to _SPF_CAP, then Miller-Rabin past it
-        factorize(TRIAL_CUTOFF + 1)
-        assert _odd_spf_limit() == _SPF_CAP - 1
         flags = _sieve(2 * 10**6)
         assert [n for n in range(2 * 10**6 + 1) if is_prime(n) != flags[n]] == []
 
@@ -230,10 +209,8 @@ class TestFactorize:
         assert sorted(is_prime_calls[1:]) == [10**9 + 7, 10**9 + 9]
 
     def test_trial_loop_reads_the_shared_sieve(self, monkeypatch):
-        # the trial loop walks the primes sieved once into _trial_primes; it
-        # must not sieve again per input
-        factorization._trial_primes()
-
+        # the trial loop walks the primes sieved at import, and the table was
+        # built there too; nothing sieves again per input
         def sieving_again(limit):
             raise AssertionError(f"factorize sieved again up to {limit}")
 
@@ -244,18 +221,23 @@ class TestFactorize:
             (4_294_967_291, 1),
         )
 
-    def test_prime_powers_match_trial_division_up_to_3e4(self, small_odd_spf):
-        # n <= TRIAL_CUTOFF is read from the table built at import; the first
-        # n above it builds the full table, and every later n is read from that
+    @pytest.mark.parametrize("n", [7 * 97 * 10007, 3 * 999_983], ids=str)
+    def test_cofactor_up_to_the_cap_is_finished_from_the_table(self, is_prime_calls, n):
+        # one test finds n composite; once a trial prime leaves a cofactor
+        # up to _SPF_CAP, the table factors it without another test
+        assert factorization._prime_powers(n) == _trial_division_powers(n)
+        assert is_prime_calls == [n]
+
+    def test_prime_powers_match_trial_division_up_to_3e4(self):
         for n in range(1, 3 * 10**4 + 1):
             assert factorization._prime_powers(n) == _trial_division_powers(n), n
 
     @pytest.mark.parametrize(
         "n",
-        [999_983, 10**6, 997**2, 2**19, 3**12, 2 * 499_979],
-        ids=["prime", "cap", "square-of-997", "power-of-2", "power-of-3", "twice-a-prime"],
+        [999_983, 10**6, 997**2, 2**19, 3**12, 2 * 499_979, 640_000, 20_011],
+        ids=["prime", "cap", "square-of-997", "power-of-2", "power-of-3", "twice-a-prime", "powers-of-2-and-5", "prime-past-the-cutoff"],
     )
-    def test_prime_powers_inside_the_full_table(self, small_odd_spf, n):
+    def test_prime_powers_inside_the_full_table(self, n):
         assert factorization._prime_powers(n) == _trial_division_powers(n)
         assert factorize(n).as_dict() == _trial_division_powers(n)
 
@@ -273,20 +255,22 @@ class TestFactorize:
 
 
 class TestOddTable:
-    def test_first_input_in_range_builds_it_to_the_cap(self, small_odd_spf):
-        assert factorize(2**19).entries == ((2, 19),)
-        assert factorize(640_000).entries == ((2, 10), (5, 4))
-        assert _odd_spf_limit() == TRIAL_CUTOFF - 1
-        assert factorize(20011).entries == ((20011, 1),)
-        assert _odd_spf_limit() == _SPF_CAP - 1
-        table = factorization._odd_spf
-        assert len(table) * table.itemsize <= _SPF_CAP
-        for n in (_SPF_CAP, _SPF_CAP - 1, 999_983, 2 * 499_979):
-            factorize(n)
-        assert factorization._odd_spf is table
+    def test_built_at_import_to_the_cap(self):
+        # a fresh interpreter, so no earlier test can have touched the table;
+        # inputs up to the cap, which once rebuilt it, leave it in place
+        code = f"""
+from primelattice import factorization, factorize
+table = factorization._odd_spf
+assert 2 * len(table) - 1 == {_SPF_CAP - 1}, len(table)
+assert len(table) * table.itemsize <= {_SPF_CAP}
+for n in ({TRIAL_CUTOFF + 1}, 640_000, 999_983, {_SPF_CAP}):
+    factorize(n)
+assert factorization._odd_spf is table
+"""
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
 
-    def test_full_table_matches_a_sieve(self, small_odd_spf):
-        factorize(_SPF_CAP - 1)
+    def test_full_table_matches_a_sieve(self):
         table, flags = factorization._odd_spf, _sieve(_SPF_CAP)
         assert table[0] == 0
         for i in range(1, len(table)):
@@ -294,48 +278,25 @@ class TestOddTable:
             assert (p == 0) == bool(flags[n]), n
             assert p == 0 or (flags[p] and n % p == 0 and p * p <= n), n
 
-    def test_threads_building_it_at_once_factor_correctly(self, small_odd_spf):
-        # the build rebinds the table without a lock and a reader holds one
-        # table throughout, so a race can only build it twice
-        flags = _sieve(_SPF_CAP)
-        inputs = [range(TRIAL_CUTOFF + 1 + k, _SPF_CAP + 1, 997) for k in range(4)]
-        bad: list[int] = []
-
-        def work(values):
-            for n in values:
-                powers = factorization._prime_powers(n)
-                if math.prod(p**e for p, e in powers.items()) != n or not all(flags[p] for p in powers):
-                    bad.append(n)
-
-        threads = [threading.Thread(target=work, args=(values,)) for values in inputs]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
-        assert bad == []
-        assert _odd_spf_limit() == _SPF_CAP - 1
-
     @pytest.mark.parametrize("n", [TRIAL_CUTOFF, _SPF_CAP + 3, 2**64 - 59, 994009 * 1_000_003])
-    def test_inputs_outside_the_range_never_build_it(self, small_odd_spf, n):
-        factorize(n)
-        assert _odd_spf_limit() == TRIAL_CUTOFF - 1
+    def test_inputs_outside_the_range_never_build_it(self, n):
+        # nothing replaces the table built at import
+        table = factorization._odd_spf
+        assert reconstruct(factorize(n)) == n
+        assert factorization._odd_spf is table
 
-    def test_primality_tests_never_build_it(self, small_odd_spf):
+    def test_primality_tests_never_build_it(self):
+        table = factorization._odd_spf
         assert is_prime(999_983)
         assert not is_prime(994_009)
-        assert _odd_spf_limit() == TRIAL_CUTOFF - 1
+        assert factorization._odd_spf is table
 
-    def test_64bit_inputs_never_build_it(self, small_odd_spf):
+    def test_64bit_inputs_never_build_it(self):
+        table = factorization._odd_spf
         rng = random.Random(64)
         for n in [rng.randint(2**32, MAX_INPUT) for _ in range(40)]:
             assert reconstruct(factorize(n)) == n
-        assert _odd_spf_limit() == TRIAL_CUTOFF - 1
+        assert factorization._odd_spf is table
 
 
 class TestFactorizationType:

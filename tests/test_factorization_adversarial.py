@@ -106,9 +106,8 @@ def test_is_prime_on_64bit_integers(n):
 # and (2, 13, 23, 1662803), each the first strong pseudoprime to its set: they
 # split the range above TRIAL_CUTOFF into pieces that each get their own draws,
 # and their neighbourhoods are adversarial inputs for the one 7-base set
-# is_prime runs. is_prime answers n <= 10**6 from its table once an input to
-# factoring has built it to the cap, so these tests also call Miller-Rabin
-# directly, whatever ran before.
+# is_prime runs. is_prime answers n <= 10**6 from its table, so these tests
+# also call Miller-Rabin directly.
 WITNESS_BOUNDS = (1_373_653, 4_759_123_141, 1_122_004_669_633)
 WITNESS_RANGES = tuple(zip((TRIAL_CUTOFF + 1,) + WITNESS_BOUNDS, WITNESS_BOUNDS + (MAX_INPUT + 1,)))
 
