@@ -108,6 +108,15 @@ class TestIsPrime:
         flags = _sieve(2 * 10**6)
         assert [n for n in range(2 * 10**6 + 1) if is_prime(n) != flags[n]] == []
 
+    def test_matches_a_sieve_up_to_2e6_with_the_full_table(self):
+        # the table built at import reaches _SPF_CAP, and every odd n up to
+        # it is prime exactly when its entry is empty
+        table = factorization._odd_spf
+        assert 2 * len(table) - 1 == _SPF_CAP - 1
+        flags = _sieve(2 * 10**6)
+        assert [n for n in range(1, _SPF_CAP, 2) if is_prime(n) != (n > 1 and not table[n >> 1])] == []
+        assert [n for n in range(2 * 10**6 + 1) if is_prime(n) != flags[n]] == []
+
     @pytest.mark.parametrize("n", FIRST_STRONG_PSEUDOPRIMES, ids=str)
     def test_first_strong_pseudoprime_of_each_witness_set(self, n):
         # n passes these bases, so is_prime has to reject it on its own bases
