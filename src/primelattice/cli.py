@@ -1,8 +1,9 @@
 """Command-line surface: one subcommand per operation, deterministic output.
 
-Every invocation builds a single record with keys command, inputs, result,
-and (where an independent cross-check ran) verification; --format renders
-that record as text, JSON, or CSV. Exit codes: 0 success, 1 usage or
+Every invocation builds a single record with keys command, inputs (the
+parsed arguments), result, and (where an independent cross-check ran)
+verification; --format renders that record as text, JSON, or CSV, and the
+rendered output is written in one piece. Exit codes: 0 success, 1 usage or
 domain error, 2 a verification block caught a mismatch, which would mean
 an implementation bug rather than bad input.
 """
@@ -12,9 +13,10 @@ from __future__ import annotations
 import argparse
 import errno
 import json
+import os
 import re
 import sys
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import DomainError, _integers
 from .factorization import MAX_INPUT, factorize, reconstruct
@@ -43,6 +45,7 @@ _DISTRIBUTIVE_MAX = 2**32 - 1
 _DECIMAL = re.compile(r"-?[0-9]+")
 # a malformed argument is quoted up to this many characters, then by its length
 _QUOTE_LIMIT = 20
+_TABLE_HEADER = ("n", "g_n", "ratio", "witness")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -72,12 +75,21 @@ class _Parser(argparse.ArgumentParser):
 
 
 class _Output(NamedTuple):
-    """One handler's result: the JSON record, text lines, CSV (header, rows), exit code."""
+    """One handler's blocks; run() adds command and inputs to make the record."""
 
-    record: dict
+    result: dict
+    verification: dict | None  # None when no cross-check ran
     lines: list[str]
-    csv_data: tuple[list[str], list[list[str]]]
-    code: int
+    csv: list[str]
+    ok: bool  # every cross-check agreed
+
+
+def _csv(header: Sequence[str], rows: Iterable[Sequence[object]]) -> list[str]:
+    return [",".join(header)] + [",".join(map(str, row)) for row in rows]
+
+
+def _joined(lines: Sequence[str]) -> str:
+    return "".join(f"{line}\n" for line in lines)
 
 
 def _decimal_int(text: str) -> int:
@@ -129,15 +141,13 @@ def _cmd_factor(args: argparse.Namespace) -> _Output:
     fac = factorize(args.n)
     rebuilt = reconstruct(fac)
     pretty = _pretty_factorization(fac.entries)
-    record = {
-        "command": "factor",
-        "inputs": {"n": args.n},
-        "result": {"n": args.n, "factorization": [list(entry) for entry in fac.entries], "pretty": pretty},
-        "verification": {"reconstructed": rebuilt, "matches": rebuilt == args.n},
-    }
-    lines = [f"{args.n} = {pretty}"]
-    csv_data = (["n", "factorization"], [[str(args.n), pretty]])
-    return _Output(record, lines, csv_data, 0 if rebuilt == args.n else 2)
+    return _Output(
+        {"n": args.n, "factorization": [list(entry) for entry in fac.entries], "pretty": pretty},
+        {"reconstructed": rebuilt, "matches": rebuilt == args.n},
+        [f"{args.n} = {pretty}"],
+        _csv(["n", "factorization"], [[args.n, pretty]]),
+        rebuilt == args.n,
+    )
 
 
 def _euclid_fold(values: Sequence[int]) -> tuple[int, int]:
@@ -149,53 +159,38 @@ def _euclid_fold(values: Sequence[int]) -> tuple[int, int]:
     return g, l
 
 
-def _cmd_gcd(args: argparse.Namespace, *, lcm_only: bool = False) -> _Output:
+def _cmd_gcd(args: argparse.Namespace) -> _Output:
+    """Serves gcd and lcm: both run the same routes; lcm shows only the lcm."""
     if len(args.values) < 2:
         raise DomainError("at least two integers are required")
     res = gcd_lcm_set(args.values)
     oracle_gcd, oracle_lcm = _euclid_fold(args.values)
     matches = res.gcd == oracle_gcd and res.lcm == oracle_lcm
-    if lcm_only:
-        result = {"lcm": res.lcm}
-        lines = [f"lcm = {res.lcm}"]
-        csv_data = (["lcm"], [[str(res.lcm)]])
-    else:
-        result = {
-            "gcd": res.gcd,
-            "lcm": res.lcm,
-            "support": list(res.support.primes),
-            "min_exponents": list(res.min_exponents.exponents),
-            "max_exponents": list(res.max_exponents.exponents),
-        }
-        lines = [f"gcd = {res.gcd}, lcm = {res.lcm}"]
-        csv_data = (["gcd", "lcm"], [[str(res.gcd), str(res.lcm)]])
-    record = {
-        "command": "lcm" if lcm_only else "gcd",
-        "inputs": {"values": list(args.values)},
-        "result": result,
-        "verification": {"gcd_euclid": oracle_gcd, "lcm_euclid_fold": oracle_lcm, "matches": matches},
+    verification = {"gcd_euclid": oracle_gcd, "lcm_euclid_fold": oracle_lcm, "matches": matches}
+    if args.command == "lcm":
+        return _Output({"lcm": res.lcm}, verification, [f"lcm = {res.lcm}"], _csv(["lcm"], [[res.lcm]]), matches)
+    result = {
+        "gcd": res.gcd,
+        "lcm": res.lcm,
+        "support": list(res.support.primes),
+        "min_exponents": list(res.min_exponents.exponents),
+        "max_exponents": list(res.max_exponents.exponents),
     }
-    return _Output(record, lines, csv_data, 0 if matches else 2)
-
-
-def _cmd_lcm(args: argparse.Namespace) -> _Output:
-    return _cmd_gcd(args, lcm_only=True)
+    lines = [f"gcd = {res.gcd}, lcm = {res.lcm}"]
+    return _Output(result, verification, lines, _csv(["gcd", "lcm"], [[res.gcd, res.lcm]]), matches)
 
 
 def _cmd_ratio(args: argparse.Namespace) -> _Output:
     red = reduce_ratio(args.a, args.b)
     cross_ok = abs(args.a) * red.right == abs(args.b) * red.left
     coprime = gcd_euclid(red.left, red.right) == 1
-    matches = cross_ok and coprime
-    record = {
-        "command": "ratio",
-        "inputs": {"a": args.a, "b": args.b},
-        "result": {"left": red.left, "right": red.right},
-        "verification": {"cross_products_equal": cross_ok, "coprime": coprime, "matches": matches},
-    }
-    lines = [f"ratio = {red.left}:{red.right}"]
-    csv_data = (["left", "right"], [[str(red.left), str(red.right)]])
-    return _Output(record, lines, csv_data, 0 if matches else 2)
+    return _Output(
+        {"left": red.left, "right": red.right},
+        {"cross_products_equal": cross_ok, "coprime": coprime, "matches": cross_ok and coprime},
+        [f"ratio = {red.left}:{red.right}"],
+        _csv(["left", "right"], [[red.left, red.right]]),
+        cross_ok and coprime,
+    )
 
 
 def _synthesize_permutation(lengths: Sequence[int]) -> list[int]:
@@ -210,41 +205,25 @@ def _synthesize_permutation(lengths: Sequence[int]) -> list[int]:
 
 
 def _cmd_order(args: argparse.Namespace) -> _Output:
-    if args.perm is not None:
-        decomposition = cycle_decompose(args.perm)
-        inputs = {"perm": list(args.perm)}
+    # exactly one of --perm and --cycles is in args: both default to SUPPRESS
+    perm = getattr(args, "perm", None)
+    if perm is not None:
+        decomposition = cycle_decompose(perm)
     else:
         lengths = tuple(sorted(args.cycles, reverse=True))
         decomposition = CycleDecomposition(n=sum(lengths), cycle_lengths=lengths)
-        inputs = {"cycles": list(args.cycles)}
     m = order(decomposition)
-    verification: dict[str, object] = {"method": "power_iteration"}
-    code = 0
+    confirmed = None
     if decomposition.n * m <= _ORDER_CHECK_BUDGET:
         # --cycles gets its one-line form only here, where power iteration uses it
-        perm = args.perm if args.perm is not None else _synthesize_permutation(decomposition.cycle_lengths)
-        confirmed = verify_order(perm, m)
-        verification.update(checked=True, confirmed=confirmed)
-        if not confirmed:
-            code = 2
-    else:
-        verification.update(checked=False, confirmed=None)
-    record = {
-        "command": "order",
-        "inputs": inputs,
-        "result": {
-            "degree": decomposition.n,
-            "cycle_lengths": list(decomposition.cycle_lengths),
-            "order": m,
-        },
-        "verification": verification,
-    }
-    lines = [
-        f"cycle lengths = {', '.join(str(x) for x in decomposition.cycle_lengths)}",
-        f"order = {m}",
-    ]
-    csv_data = (["degree", "order"], [[str(decomposition.n), str(m)]])
-    return _Output(record, lines, csv_data, code)
+        confirmed = verify_order(perm if perm is not None else _synthesize_permutation(decomposition.cycle_lengths), m)
+    return _Output(
+        {"degree": decomposition.n, "cycle_lengths": list(decomposition.cycle_lengths), "order": m},
+        {"method": "power_iteration", "checked": confirmed is not None, "confirmed": confirmed},
+        [f"cycle lengths = {', '.join(str(x) for x in decomposition.cycle_lengths)}", f"order = {m}"],
+        _csv(["degree", "order"], [[decomposition.n, m]]),
+        confirmed is not False,
+    )
 
 
 def _cmd_landau(args: argparse.Namespace) -> _Output:
@@ -252,25 +231,21 @@ def _cmd_landau(args: argparse.Namespace) -> _Output:
     shown = landau_bruteforce(n) if method == "brute" else landau_dp(n)
     witness = _format_witness(shown.witness.parts)
     result: dict[str, object] = {"n": n, "method": method, "value": shown.value}
-    record = {"command": "landau", "inputs": {"n": n, "method": method}, "result": result}
+    verification = None
     lines = [f"landau({n}) = {shown.value}"]
-    code = 0
     if method == "both":
         brute = landau_bruteforce(n)
         enumerated = sum(1 for _ in _part_tuples(n, n))
         expected = partition_count(n)
-        agree = shown.value == brute.value
-        counts_match = enumerated == expected
-        code = 0 if agree and counts_match else 2
         result.update(
             witness_dp=list(shown.witness.parts),
             witness_brute=list(brute.witness.parts),
             partitions_enumerated=enumerated,
         )
-        record["verification"] = {
-            "values_agree": agree,
+        verification = {
+            "values_agree": shown.value == brute.value,
             "partition_count_recurrence": expected,
-            "partition_counts_match": counts_match,
+            "partition_counts_match": enumerated == expected,
         }
         lines += [
             f"witness[dp] = {witness}",
@@ -283,33 +258,21 @@ def _cmd_landau(args: argparse.Namespace) -> _Output:
     result["ratio"] = shown.ratio
     ratio_text = _format_ratio(shown.ratio)
     lines.append(f"ratio = {ratio_text or 'n/a'}")
-    csv_data = (["n", "g_n", "ratio", "witness"], [[str(n), str(shown.value), ratio_text, witness]])
-    return _Output(record, lines, csv_data, code)
+    ok = verification is None or (verification["values_agree"] and verification["partition_counts_match"])
+    return _Output(result, verification, lines, _csv(_TABLE_HEADER, [[n, shown.value, ratio_text, witness]]), ok)
 
 
 def _cmd_table(args: argparse.Namespace) -> _Output:
     records = asymptotic_table(args.max, args.step)
-    header = ["n", "g_n", "ratio", "witness"]
-    rows = [
-        [str(r.n), str(r.value), _format_ratio(r.ratio), _format_witness(r.witness.parts)]
-        for r in records
-    ]
-    record = {
-        "command": "table",
-        "inputs": {"max": args.max, "step": args.step, "out": args.out},
-        "result": {
-            "header": header,
-            "rows": [[r.n, r.value, r.ratio, list(r.witness.parts)] for r in records],
-        },
-    }
-    csv_text = "\n".join([",".join(header)] + [",".join(row) for row in rows]) + "\n"
+    rows = ([r.n, r.value, _format_ratio(r.ratio), _format_witness(r.witness.parts)] for r in records)
+    csv = _csv(_TABLE_HEADER, rows)
+    lines = csv
     if args.out is not None:
         with open(args.out, "w", encoding="ascii") as fh:
-            fh.write(csv_text)
-        lines = [f"wrote {len(rows)} rows to {args.out}"]
-    else:
-        lines = csv_text.splitlines()
-    return _Output(record, lines, (header, rows), 0)
+            fh.write(_joined(csv))
+        lines = [f"wrote {len(records)} rows to {args.out}"]
+    result = {"header": _TABLE_HEADER, "rows": [[r.n, r.value, r.ratio, list(r.witness.parts)] for r in records]}
+    return _Output(result, None, lines, csv, True)
 
 
 def _oracle_agrees(a: int, b: int) -> bool:
@@ -371,29 +334,20 @@ def verify_sweep(kind: str, count: int, seed: int, max_value: int) -> dict:
 
 def _cmd_verify(args: argparse.Namespace) -> _Output:
     report = verify_sweep(args.kind, args.count, args.seed, args.max)
-    record = {
-        "command": "verify",
-        "inputs": {"kind": args.kind, "count": args.count, "seed": args.seed, "max": args.max},
-        "result": report,
-    }
     lines = [
         f"verify {report['kind']}: {report['passed']} passed, {report['failed']} failed"
         f" (count {report['count']}, seed {report['seed']}, max {report['max']})"
     ]
     if report["counterexample"] is not None:
         lines.append(f"first counterexample: {', '.join(str(x) for x in report['counterexample'])}")
-    csv_data = (
-        ["kind", "count", "seed", "max", "passed", "failed"],
-        [[report["kind"], str(report["count"]), str(report["seed"]), str(report["max"]),
-          str(report["passed"]), str(report["failed"])]],
-    )
-    return _Output(record, lines, csv_data, 0 if report["failed"] == 0 else 2)
+    columns = ("kind", "count", "seed", "max", "passed", "failed")
+    return _Output(report, None, lines, _csv(columns, [[report[key] for key in columns]]), report["failed"] == 0)
 
 
 _HANDLERS = {
     "factor": _cmd_factor,
     "gcd": _cmd_gcd,
-    "lcm": _cmd_lcm,
+    "lcm": _cmd_gcd,
     "ratio": _cmd_ratio,
     "order": _cmd_order,
     "landau": _cmd_landau,
@@ -424,8 +378,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("order", parents=[common], help="order of a permutation")
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--cycles", type=_decimal_int_list, metavar="c1,c2,...")
-    group.add_argument("--perm", type=_decimal_int_list, metavar="i1,i2,...")
+    group.add_argument("--cycles", type=_decimal_int_list, metavar="c1,c2,...", default=argparse.SUPPRESS)
+    group.add_argument("--perm", type=_decimal_int_list, metavar="i1,i2,...", default=argparse.SUPPRESS)
 
     p = sub.add_parser("landau", parents=[common], help="largest lcm over partitions of n")
     p.add_argument("n", type=_decimal_int)
@@ -445,19 +399,6 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _emit(fmt: str, out: _Output) -> None:
-    if fmt == "json":
-        print(json.dumps(out.record, indent=2))
-    elif fmt == "csv":
-        header, rows = out.csv_data
-        print(",".join(header))
-        for row in rows:
-            print(",".join(row))
-    else:
-        for line in out.lines:
-            print(line)
-
-
 def run(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -467,17 +408,40 @@ def run(argv: Sequence[str] | None = None) -> int:
         return ex.code
     try:
         out = _HANDLERS[args.command](args)
+        if args.format == "json":
+            inputs = {key: value for key, value in vars(args).items() if key not in ("command", "format")}
+            record = {"command": args.command, "inputs": inputs, "result": out.result}
+            if out.verification is not None:
+                record["verification"] = out.verification
+            text = json.dumps(record, indent=2) + "\n"
+        else:
+            text = _joined(out.csv if args.format == "csv" else out.lines)
     except (DomainError, OSError) as ex:
         message = str(ex)
         # OSError can only come from writing table --out; a name refused for
         # its length is quoted by a prefix, any other name whole
         if isinstance(ex, OSError) and ex.errno == errno.ENAMETOOLONG:
             message = f"[Errno {ex.errno}] {ex.strerror}: {_quoted(ex.filename)}"
-        print(f"error: {message}", file=sys.stderr)
-        return 1
-    _emit(args.format, out)
-    return out.code
+    except ValueError as ex:
+        # only str()'s digit limit, which an lcm or an order can pass while
+        # every argument stays inside it; nothing is written, stdout stays empty
+        if "integer string conversion" not in str(ex):
+            raise
+        message = f"the result has more than {sys.get_int_max_str_digits()} digits, too many to print in decimal"
+    else:
+        sys.stdout.write(text)
+        return 0 if out.ok else 2
+    print(f"error: {message}", file=sys.stderr)
+    return 1
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early; point it at devnull so the flush at
+        # interpreter exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)

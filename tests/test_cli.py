@@ -11,6 +11,7 @@ from types import SimpleNamespace
 import pytest
 
 from primelattice import cli
+from primelattice.factorization import primes_up_to
 from primelattice.rng import SplitMix64
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -188,6 +189,34 @@ class TestNumberParsing:
         code, _, err = run_cli(["factor", "5", "7", "a\nb"])
         assert code == 1
         assert err.splitlines()[-1] == "primelattice: error: unrecognized arguments: 7 'a\\nb'"
+
+
+class TestUnprintableResults:
+    # the first 2,100 primes: each argument is short, but their product (the
+    # lcm, and the order of a permutation with those cycle lengths) has about
+    # 8,000 digits
+    PRIMES = primes_up_to(20000)[:2100]
+
+    @pytest.mark.skipif(not sys.get_int_max_str_digits(), reason="str() has no digit limit")
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    @pytest.mark.parametrize("command", ["order", "gcd", "lcm"])
+    def test_result_past_the_digit_limit_is_an_error(self, command, fmt):
+        # the f-string or json.dumps raised ValueError from str()'s digit limit
+        values = [",".join(map(str, self.PRIMES))] if command == "order" else list(map(str, self.PRIMES))
+        argv = [command] + (["--cycles"] if command == "order" else []) + values + ["--format", fmt]
+        code, out, err = run_cli(argv)
+        limit = sys.get_int_max_str_digits()
+        assert (code, out) == (1, "")
+        assert err == f"error: the result has more than {limit} digits, too many to print in decimal\n"
+
+    def test_other_value_errors_are_not_caught(self, monkeypatch):
+        # only the digit-limit error becomes exit 1; any other ValueError is a bug
+        def broken(args):
+            raise ValueError("not a conversion error")
+
+        monkeypatch.setitem(cli._HANDLERS, "factor", broken)
+        with pytest.raises(ValueError, match="not a conversion error"):
+            run_cli(["factor", "6"])
 
 
 class TestFormats:
@@ -428,6 +457,44 @@ class TestVerifyCommand:
     def test_rng_rejects_an_empty_range(self):
         with pytest.raises(ValueError, match="empty range"):
             SplitMix64(1).randint(5, 4)
+
+
+def _environment(unbuffered):
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_closed_pipe_exits_without_a_traceback(unbuffered):
+    # the reader stops after the header, long before the table's 400 kB are written
+    argv = [sys.executable, "-m", "primelattice", "table", "--max", "3000"]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_environment(unbuffered)) as proc:
+        assert proc.stdout.readline() == b"n,g_n,ratio,witness\n"
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        code = proc.wait()
+    assert "Traceback" not in err and "Exception ignored" not in err, err
+    assert err == ""
+    # unbuffered, the text layer writes straight to the file descriptor; on
+    # CPython 3.11 it drops the tail of a partial write without an error, so
+    # the closed pipe goes unseen and the run exits 0
+    assert code == 1 or (unbuffered and code == 0)
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_pipe_closed_before_a_short_output_exits_without_a_traceback(unbuffered):
+    # buffered, the output fits in stdout's buffer, so only the flush meets the
+    # closed pipe; left to interpreter exit it printed "Exception ignored"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        argv = [sys.executable, "-m", "primelattice", "factor", "360"]
+        proc = subprocess.run(argv, stdout=write_end, stderr=subprocess.PIPE, env=_environment(unbuffered))
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, b"")
 
 
 def test_module_entry_point_is_deterministic():
