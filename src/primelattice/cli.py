@@ -21,6 +21,7 @@ from typing import Iterable, NamedTuple, Sequence
 from .errors import DomainError, _integers
 from .factorization import MAX_INPUT, factorize, reconstruct
 from .gcdlcm import (
+    _euclid_fold,
     check_distributive_identity,
     check_product_identity,
     gcd_euclid,
@@ -39,8 +40,6 @@ from .rng import SplitMix64
 
 # above this many applications, the power-iteration cross-check is skipped
 _ORDER_CHECK_BUDGET = 10**6
-# pairwise lcms must stay below 2**64 for the nested distributive route
-_DISTRIBUTIVE_MAX = 2**32 - 1
 
 _DECIMAL = re.compile(r"-?[0-9]+")
 # a malformed argument is quoted up to this many characters, then by its length
@@ -148,15 +147,6 @@ def _cmd_factor(args: argparse.Namespace) -> _Output:
         _csv(["n", "factorization"], [[args.n, pretty]]),
         rebuilt == args.n,
     )
-
-
-def _euclid_fold(values: Sequence[int]) -> tuple[int, int]:
-    g = 0
-    l = 1
-    for v in values:
-        g = gcd_euclid(g, v)
-        l = abs(v) // gcd_euclid(l, v) * l
-    return g, l
 
 
 def _cmd_gcd(args: argparse.Namespace) -> _Output:
@@ -302,10 +292,6 @@ def verify_sweep(kind: str, count: int, seed: int, max_value: int) -> dict:
         raise DomainError(f"count must be at least 1, got {count}")
     if max_value < 2:
         raise DomainError(f"max must be at least 2, got {max_value}")
-    if kind == "distributive" and max_value > _DISTRIBUTIVE_MAX:
-        raise DomainError(
-            f"distributive sweeps need max <= {_DISTRIBUTIVE_MAX} to keep pairwise lcms inside the 64-bit input range"
-        )
     if max_value > MAX_INPUT:
         raise DomainError(f"max must stay within the 64-bit input range, got {max_value}")
     width = _SWEEPS[kind][0]
@@ -436,6 +422,10 @@ def run(argv: Sequence[str] | None = None) -> int:
 
 
 def main() -> None:
+    # under PYTHONUNBUFFERED stdout writes to the raw file, which drops the rest
+    # of a partial write to a closed pipe; a buffered writer raises instead
+    stdout = sys.stdout
+    sys.stdout = open(stdout.fileno(), "w", encoding=stdout.encoding, errors=stdout.errors, closefd=False)
     try:
         code = run()
         sys.stdout.flush()

@@ -74,9 +74,9 @@ class ProductCheck:
 class DistributiveCheck:
     """Evaluation of gcd(lcm(a,b), lcm(b,c), lcm(a,c)) == lcm(gcd(a,b), gcd(b,c), gcd(a,c)).
 
-    Both sides are computed twice: by nested integer gcd/lcm calls and by
-    min/max over aligned exponent vectors. per_prime lists, for each prime
-    in the joint support, the min-of-pairwise-maxima and the
+    Both sides are computed twice: by a Euclidean gcd/lcm fold that never
+    factors and by min/max over aligned exponent vectors. per_prime lists,
+    for each prime in the joint support, the min-of-pairwise-maxima and the
     max-of-pairwise-minima, which the identity requires to coincide.
     """
 
@@ -139,6 +139,16 @@ def gcd_euclid(a: int, b: int) -> int:
     return a
 
 
+def _euclid_fold(values: Sequence[int]) -> tuple[int, int]:
+    """gcd and lcm of values by pairwise Euclidean steps; no factoring involved."""
+    g = 0
+    l = 1
+    for v in values:
+        g = gcd_euclid(g, v)
+        l = abs(v) // gcd_euclid(l, v) * l
+    return g, l
+
+
 def reduce_ratio(a: int, b: int) -> ReducedRatio:
     """Reduce a:b to lowest terms by dividing out the Euclidean gcd."""
     a = _integer(a, "ratio terms must be integers")
@@ -167,16 +177,15 @@ def check_product_identity(a: int, b: int) -> ProductCheck:
 def check_distributive_identity(a: int, b: int, c: int) -> DistributiveCheck:
     """Check the gcd-of-lcms == lcm-of-gcds identity along both routes.
 
-    The integer route nests gcd_lcm_set calls, so the pairwise lcms it
-    factors must stay below 2**64; inputs up to 2**32 - 1 are always safe.
+    The integer side is a Euclidean gcd/lcm fold over the pairs, so only
+    the exponent route factors, once per input.
     """
     a, b, c = _integers((a, b, c), "distributive identity check inputs")
-    for v in (a, b, c):
-        if v < 1:
-            raise DomainError("distributive identity check expects positive integers")
-    pairs = [gcd_lcm_set(pair) for pair in ([a, b], [b, c], [a, c])]
-    left = gcd_lcm_set([res.lcm for res in pairs]).gcd
-    right = gcd_lcm_set([res.gcd for res in pairs]).lcm
+    if min(a, b, c) < 1:
+        raise DomainError("distributive identity check expects positive integers")
+    gcds, lcms = zip(*(_euclid_fold(pair) for pair in ((a, b), (b, c), (a, c))))
+    left = _euclid_fold(lcms)[0]
+    right = _euclid_fold(gcds)[1]
 
     support, (va, vb, vc) = align([factorize(a), factorize(b), factorize(c)])
     pair_maxima = [join([va, vb]), join([vb, vc]), join([va, vc])]

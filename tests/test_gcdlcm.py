@@ -12,6 +12,7 @@ from primelattice import (
     gcd_lcm_set,
     reduce_ratio,
 )
+from primelattice import gcdlcm
 from primelattice.factorization import factorize
 from primelattice.gcdlcm import GcdLcmResult, ReducedRatio
 from primelattice.lattice import PrimeSupport, ExponentVector, align, join, meet
@@ -188,6 +189,25 @@ class TestDistributiveIdentity:
     @given(st.integers(min_value=1, max_value=10**4), st.integers(min_value=1, max_value=10**4), st.integers(min_value=1, max_value=10**4))
     def test_always_holds(self, a, b, c):
         assert check_distributive_identity(a, b, c).holds
+
+    @pytest.mark.parametrize(
+        "a, b, c", [(2**63 + 1, 2**63 + 3, 5), (2**64 - 1, 2**64 - 3, 2**64 - 5)], ids=["above-2**63", "near-2**64"]
+    )
+    def test_holds_across_the_64_bit_range(self, a, b, c):
+        # the pairwise lcms pass 2**64; only the inputs are ever factored
+        check = check_distributive_identity(a, b, c)
+        assert check.holds
+        assert check.left == math.gcd(math.lcm(a, b), math.lcm(b, c), math.lcm(a, c))
+
+    @pytest.mark.parametrize(
+        "name, fake",
+        [("gcd_euclid", lambda a, b: 1), ("meet", join)],
+        ids=["integer-route", "exponent-route"],
+    )
+    def test_compares_two_routes(self, monkeypatch, name, fake):
+        # a wrong answer on either side alone must break the check
+        monkeypatch.setattr(gcdlcm, name, fake)
+        assert not check_distributive_identity(4, 6, 10).holds
 
 
 class TestReduceRatio:
