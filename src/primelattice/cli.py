@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import errno
 import json
+import math
 import os
 import re
 import sys
@@ -29,11 +30,11 @@ from .gcdlcm import (
     reduce_ratio,
 )
 from .landau import (
-    _part_tuples,
     asymptotic_table,
     landau_bruteforce,
     landau_dp,
     partition_count,
+    partitions,
 )
 from .permutation import CycleDecomposition, cycle_decompose, order, verify_order
 from .rng import SplitMix64
@@ -173,7 +174,7 @@ def _cmd_gcd(args: argparse.Namespace) -> _Output:
 def _cmd_ratio(args: argparse.Namespace) -> _Output:
     red = reduce_ratio(args.a, args.b)
     cross_ok = abs(args.a) * red.right == abs(args.b) * red.left
-    coprime = gcd_euclid(red.left, red.right) == 1
+    coprime = math.gcd(red.left, red.right) == 1
     return _Output(
         {"left": red.left, "right": red.right},
         {"cross_products_equal": cross_ok, "coprime": coprime, "matches": cross_ok and coprime},
@@ -225,7 +226,7 @@ def _cmd_landau(args: argparse.Namespace) -> _Output:
     lines = [f"landau({n}) = {shown.value}"]
     if method == "both":
         brute = landau_bruteforce(n)
-        enumerated = sum(1 for _ in _part_tuples(n, n))
+        enumerated = sum(1 for _ in partitions(n))
         expected = partition_count(n)
         result.update(
             witness_dp=list(shown.witness.parts),

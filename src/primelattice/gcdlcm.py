@@ -38,6 +38,8 @@ class GcdLcmResult:
             raise DomainError("lcm does not match its exponent vector")
         if not lattice.dominates(self.max_exponents, self.min_exponents):
             raise DomainError("lcm exponents must dominate gcd exponents")
+        if self.max_exponents.support != self.support:
+            raise DomainError("support does not match the exponent vectors' support")
 
 
 @dataclass(frozen=True)

@@ -81,26 +81,26 @@ def _ratio(n: int, value: int) -> float | None:
 
 
 def partitions(n: int) -> Iterator[Partition]:
-    """Yield all partitions of n in reverse-lexicographic order.
-
-    The first partition is (n,) and the last is all ones; n = 0 yields the
-    single empty partition.
+    """Yield all partitions of n in reverse-lexicographic order, from (n,) to
+    all ones (Knuth, TAOCP 4A, 7.2.1.4): each step strips the trailing ones,
+    lowers the last part by one and refills behind it with parts no larger.
+    n = 0 yields the single empty partition.
     """
     n = _integer(n, "partitions require an integer n")
     if n < 0:
         raise DomainError(f"partitions are defined for nonnegative n, got {_shown(n)}")
-    for parts in _part_tuples(n, n):
-        yield _trusted(Partition, parts, sum(parts))
-
-
-def _part_tuples(remaining: int, cap: int) -> Iterator[tuple[int, ...]]:
-    """Partitions of remaining into parts <= cap, as tuples, in partitions() order."""
-    if remaining == 0:
-        yield ()
-        return
-    for head in range(min(remaining, cap), 0, -1):
-        for tail in _part_tuples(remaining - head, head):
-            yield (head, *tail)
+    parts = [n] if n else []
+    yield _trusted(Partition, tuple(parts), n)
+    while parts and parts[0] > 1:
+        rest = 1
+        while parts[-1] == 1:
+            rest += parts.pop()
+        part = parts[-1] = parts[-1] - 1
+        while rest > part:
+            parts.append(part)
+            rest -= part
+        parts.append(rest)
+        yield _trusted(Partition, tuple(parts), n)
 
 
 def partition_count(n: int) -> int:

@@ -12,7 +12,7 @@ the identical draw sequence on any platform or language:
 
 from __future__ import annotations
 
-from .errors import _integer, _integers
+from .errors import DomainError, _integer, _integers, _shown
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -45,5 +45,5 @@ class SplitMix64:
         if type(lo) is not int or type(hi) is not int:
             lo, hi = _integers((lo, hi), "randint bounds")
         if lo > hi:
-            raise ValueError(f"empty range [{lo}, {hi}]")
+            raise DomainError(f"empty range [{_shown(lo)}, {_shown(hi)}]")
         return lo + self.next_u64() % (hi - lo + 1)

@@ -10,7 +10,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from primelattice import cli
+from primelattice import DomainError, cli, gcdlcm
 from primelattice.factorization import primes_up_to
 from primelattice.rng import SplitMix64
 
@@ -115,6 +115,17 @@ class TestExitCodes:
         code, _, err = run_cli(["landau", "61", "--method", "brute"])
         assert code == 1
         assert "60" in err
+
+    def test_ratio_coprimality_does_not_share_the_reducing_gcd(self, monkeypatch):
+        # a reduction that divides by 1 keeps the cross products equal, so
+        # only a coprimality check on another gcd can catch it
+        monkeypatch.setattr(gcdlcm, "gcd_euclid", lambda a, b: 1)
+        monkeypatch.setattr(cli, "gcd_euclid", lambda a, b: 1)
+        code, out, _ = run_cli(["ratio", "8", "12", "--format", "json"])
+        assert code == 2
+        record = json.loads(out)
+        assert record["result"] == {"left": 8, "right": 12}
+        assert record["verification"] == {"cross_products_equal": True, "coprime": False, "matches": False}
 
     def test_verification_failure_exits_2(self, monkeypatch):
         # no real input can make the identity fail, so fault-inject the check
@@ -332,6 +343,7 @@ class TestLandauCommand:
         for name, fake, failed in [
             ("landau_bruteforce", lambda n: cli.landau_dp(n + 2), "values_agree"),
             ("partition_count", lambda n: 8, "partition_counts_match"),
+            ("partitions", lambda n: iter(range(6)), "partition_counts_match"),
         ]:
             with monkeypatch.context() as patched:
                 patched.setattr(cli, name, fake)
@@ -454,7 +466,7 @@ class TestVerifyCommand:
             assert (code, err) == (1, f"error: max must stay within the 64-bit input range, got {2**64}\n")
 
     def test_rng_rejects_an_empty_range(self):
-        with pytest.raises(ValueError, match="empty range"):
+        with pytest.raises(DomainError, match=r"empty range \[5, 4\]"):
             SplitMix64(1).randint(5, 4)
 
 

@@ -137,6 +137,13 @@ def test_result_type_rejects_inconsistent_fields():
     with pytest.raises(DomainError):
         # min exponents above max exponents
         GcdLcmResult(gcd=4, lcm=2, support=support, min_exponents=maxs, max_exponents=mins)
+    res = gcd_lcm_set([4, 6])
+    with pytest.raises(DomainError, match="support does not match"):
+        # consistent values and vectors, but a support that is not theirs
+        GcdLcmResult(
+            gcd=res.gcd, lcm=res.lcm, support=PrimeSupport((5, 7, 11)),
+            min_exponents=res.min_exponents, max_exponents=res.max_exponents,
+        )
 
 
 class TestEuclid:

@@ -68,6 +68,21 @@ class TestPartitions:
     def test_enumeration_count_matches_recurrence(self, n):
         assert sum(1 for _ in partitions(n)) == partition_count(n)
 
+    def test_matches_a_recursive_reference(self):
+        for n in range(41):
+            assert [p.parts for p in partitions(n)] == list(_descending_partitions(n, n)), n
+
+
+def _descending_partitions(remaining, cap):
+    """Partitions of remaining into parts <= cap, largest part first, by
+    recursion on the first part: an independent reference for partitions()."""
+    if remaining == 0:
+        yield ()
+        return
+    for head in range(min(remaining, cap), 0, -1):
+        for tail in _descending_partitions(remaining - head, head):
+            yield (head, *tail)
+
 
 class TestPartitionCount:
     def test_known_counts(self):
