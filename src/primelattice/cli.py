@@ -424,15 +424,19 @@ def run(argv: Sequence[str] | None = None) -> int:
 
 def main() -> None:
     # under PYTHONUNBUFFERED stdout writes to the raw file, which drops the rest
-    # of a partial write to a closed pipe; a buffered writer raises instead
+    # of a partial write to a closed pipe; a buffered writer raises instead.
+    # Python starts with sys.stdout None when fd 1 is closed; opening fd 1 then fails
     stdout = sys.stdout
-    sys.stdout = open(stdout.fileno(), "w", encoding=stdout.encoding, errors=stdout.errors, closefd=False)
     try:
+        encoding, errors = (stdout.encoding, stdout.errors) if stdout else (None, None)
+        sys.stdout = open(1, "w", encoding=encoding, errors=errors, closefd=False)
         code = run()
         sys.stdout.flush()
-    except BrokenPipeError:
-        # the reader closed stdout early; point it at devnull so the flush at
-        # interpreter exit cannot raise again
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    except OSError as ex:
+        # point fd 1 at devnull so the flush at interpreter exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
+        # a reader that closed the pipe early has all it wanted
+        if not isinstance(ex, BrokenPipeError):
+            print(f"error: cannot write to stdout: {ex}", file=sys.stderr)
         code = 1
     sys.exit(code)

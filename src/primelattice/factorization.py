@@ -131,7 +131,11 @@ class Factorization:
     entries: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self) -> None:
-        entries = tuple(_integers((p, e), "factorization entries") for p, e in self.entries)
+        try:
+            pairs = [(p, e) for p, e in self.entries]
+        except (TypeError, ValueError):
+            raise DomainError("factorization entries must be (prime, exponent) pairs") from None
+        entries = tuple(_integers(pair, "factorization entries") for pair in pairs)
         object.__setattr__(self, "entries", entries)
         last = 1
         for p, e in entries:

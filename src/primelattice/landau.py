@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .errors import DomainError, _integer, _integers, _positive_non_increasing, _shown, _trusted
 from .factorization import primes_up_to
@@ -64,14 +64,18 @@ class LandauRecord:
         object.__setattr__(self, "value", value)
         if self.n < 1:
             raise DomainError(f"defined for positive n, got {_shown(self.n)}")
-        if self.witness.n != self.n:
-            raise DomainError(f"witness sums to {_shown(self.witness.n)}, expected {_shown(self.n)}")
-        if gcd_lcm_set(list(self.witness.parts)).lcm != self.value:
-            raise DomainError("witness lcm does not equal the reported value")
+        _check_witness(self.n, self.value, self.witness.parts, lambda *parts: gcd_lcm_set(parts).lcm)
         if (self.ratio is None) != (self.n == 1):
             raise DomainError("ratio must be None exactly at n = 1")
         if self.ratio is not None and self.ratio != _ratio(self.n, self.value):
             raise DomainError("ratio does not match log(value) / sqrt(n log n)")
+
+
+def _check_witness(n: int, value: int, parts: tuple[int, ...], lcm: Callable[..., int]) -> None:
+    if sum(parts) != n:
+        raise DomainError(f"witness sums to {_shown(sum(parts))}, expected {_shown(n)}")
+    if lcm(*parts) != value:
+        raise DomainError("witness lcm does not equal the reported value")
 
 
 def _ratio(n: int, value: int) -> float | None:
@@ -262,8 +266,10 @@ def landau_dp(n: int) -> LandauRecord:
         raise DomainError(f"dynamic program supports 1 <= n <= {DP_LIMIT}, got {_shown(n)}")
     table = _dp_table(n)
     value = table.values[n]
-    witness = Partition(_witness_parts(table, n))
-    return LandauRecord(n=n, value=value, witness=witness, ratio=_ratio(n, value))
+    parts = _witness_parts(table, n)
+    # the knapsack only multiplies prime powers, so math.lcm checks its witness by another method
+    _check_witness(n, value, parts, math.lcm)
+    return _trusted(LandauRecord, n, value, _trusted(Partition, parts, n), _ratio(n, value))
 
 
 def asymptotic_table(n_max: int, step: int = 1) -> list[LandauRecord]:

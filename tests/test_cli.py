@@ -507,6 +507,37 @@ def test_pipe_closed_before_a_short_output_exits_without_a_traceback(unbuffered)
     assert (proc.returncode, proc.stderr) == (1, b"")
 
 
+def _one_error_line(err):
+    assert "Traceback" not in err and "Exception ignored" not in err, err
+    assert err.startswith("error: cannot write to stdout: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize(
+    "argv", [["factor", "6"], ["table", "--max", "3000", "--format", "json"]], ids=["short", "long"]
+)
+def test_full_stdout_exits_1_with_one_error_line(argv, unbuffered):
+    # a short output meets the full device only at the flush, a long one inside run()
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "primelattice", *argv],
+            stdout=full, stderr=subprocess.PIPE, text=True, env=_environment(unbuffered),
+        )
+    assert proc.returncode == 1
+    _one_error_line(proc.stderr)
+
+
+def test_closed_stdout_exits_1_with_one_error_line():
+    # Python starts with sys.stdout set to None when fd 1 is closed
+    proc = subprocess.run(
+        ["bash", "-c", '"$0" -m primelattice factor 6 >&-', sys.executable],
+        stderr=subprocess.PIPE, text=True,
+    )
+    assert proc.returncode == 1
+    _one_error_line(proc.stderr)
+
+
 def test_module_entry_point_is_deterministic():
     argv = [sys.executable, "-m", "primelattice", "gcd", "60", "90", "--format", "json"]
     first = subprocess.run(argv, capture_output=True, text=True)

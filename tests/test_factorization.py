@@ -325,6 +325,11 @@ class TestFactorizationType:
         with pytest.raises(DomainError):
             Factorization(((3, 0),))
 
+    @pytest.mark.parametrize("entries", [((2,),), ((2, 1, 0),), (5,)], ids=["short", "long", "scalar"])
+    def test_rejects_an_entry_that_is_not_a_pair(self, entries):
+        with pytest.raises(DomainError, match=r"^factorization entries must be \(prime, exponent\) pairs$"):
+            Factorization(entries)
+
     def test_as_dict(self):
         assert factorize(360).as_dict() == {2: 3, 3: 2, 5: 1}
 

@@ -1,13 +1,17 @@
+import contextlib
+import dataclasses
+import io
 import math
 import sys
 import threading
 from bisect import bisect_right
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from primelattice import landau
+from primelattice import cli, gcdlcm, landau
 from primelattice import (
     DomainError,
     LandauRecord,
@@ -334,6 +338,67 @@ class TestLandauRecordType:
     def test_rejects_wrong_ratio(self):
         with pytest.raises(DomainError):
             LandauRecord(n=5, value=6, witness=Partition((3, 2)), ratio=0.5)
+
+
+class TestDpWitnessCheck:
+    """landau_dp checks each witness once, by its sum and by math.lcm, and builds
+    its records trusted. A faulty walk or table must still fail every route
+    into it with the message the record's own checks give."""
+
+    # g(50) = 180180, witness (13, 11, 9, 7, 5, 4, 1)
+    N = 50
+
+    def _fail_everywhere(self, message):
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            landau_dp(self.N)
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            asymptotic_table(100)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.run(["table", "--max", "100"])
+        assert (code, out.getvalue(), err.getvalue()) == (1, "", f"error: {message}\n")
+
+    def _fault_in_the_walk(self, monkeypatch, fault):
+        walk = landau._witness_parts
+
+        def faulty(table, n):
+            parts = walk(table, n)
+            return fault(parts) if n == self.N else parts
+
+        monkeypatch.setattr(landau, "_witness_parts", faulty)
+
+    def test_a_dropped_part(self, monkeypatch):
+        self._fault_in_the_walk(monkeypatch, lambda parts: parts[1:])
+        self._fail_everywhere("witness sums to 37, expected 50")
+
+    def test_a_changed_part(self, monkeypatch):
+        # 13 becomes 12 and a one keeps the sum: the lcm falls to 13860
+        self._fault_in_the_walk(monkeypatch, lambda parts: (parts[0] - 1, *parts[1:], 1))
+        self._fail_everywhere("witness lcm does not equal the reported value")
+
+    def test_a_raised_table_value(self, monkeypatch):
+        table = landau._build_table(100)
+        values = list(table.values)
+        values[self.N] += 1
+        monkeypatch.setattr(landau, "_dp_cached", dataclasses.replace(table, values=tuple(values)))
+        self._fail_everywhere("witness lcm does not equal the reported value")
+
+    def test_dp_records_never_take_the_exponent_route(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("the DP route factored a witness part")
+
+        monkeypatch.setattr(landau, "_dp_cached", None)
+        monkeypatch.setattr(landau, "gcd_lcm_set", forbidden)
+        monkeypatch.setattr(gcdlcm, "_prime_powers", forbidden)
+        assert landau_dp(10**4).n == 10**4
+        assert len(asymptotic_table(500)) == 499
+
+    def test_other_records_keep_the_exponent_route(self, monkeypatch):
+        monkeypatch.setattr(landau, "gcd_lcm_set", lambda values: SimpleNamespace(lcm=gcd_lcm_set(values).lcm + 1))
+        with pytest.raises(DomainError, match="^witness lcm does not equal the reported value$"):
+            landau_bruteforce(12)
+        with pytest.raises(DomainError, match="^witness lcm does not equal the reported value$"):
+            LandauRecord(n=5, value=6, witness=Partition((3, 2)), ratio=math.log(6) / math.sqrt(5 * math.log(5)))
 
 
 class TestAsymptoticTable:

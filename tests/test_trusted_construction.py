@@ -9,7 +9,7 @@ import dataclasses
 from hypothesis import given
 from hypothesis import strategies as st
 
-from primelattice import cycle_decompose, factorize, gcd_lcm_set, landau_dp, partitions, reduce_ratio
+from primelattice import asymptotic_table, cycle_decompose, factorize, gcd_lcm_set, landau_dp, partitions, reduce_ratio
 from primelattice.lattice import add, align, join, meet
 
 nonzero = st.integers(min_value=-(10**6), max_value=10**6).filter(lambda v: v != 0)
@@ -77,3 +77,10 @@ def test_every_partition_up_to_12():
     for n in range(13):
         for part in partitions(n):
             assert_rebuilds(part)
+
+
+def test_every_landau_dp_row_up_to_10_4():
+    # the public LandauRecord re-proves each witness lcm through the exponent route
+    for record in asymptotic_table(10**4):
+        assert_rebuilds(record.witness)
+        assert_rebuilds(record)
