@@ -19,7 +19,7 @@ import re
 import sys
 from typing import Iterable, NamedTuple, Sequence
 
-from .errors import DomainError, _integers
+from .errors import DomainError, _integers, _safe_repr
 from .factorization import MAX_INPUT, factorize, reconstruct
 from .gcdlcm import (
     _euclid_fold,
@@ -287,7 +287,7 @@ def _sweep_check(kind: str, draw: tuple[int, ...]) -> bool:
 def verify_sweep(kind: str, count: int, seed: int, max_value: int) -> dict:
     """Run count seeded identity/oracle checks; the draws depend only on the arguments."""
     if not isinstance(kind, str) or kind not in _SWEEPS:
-        raise DomainError(f"kind must be one of {', '.join(_SWEEPS)}, got {kind!r}")
+        raise DomainError(f"kind must be one of {', '.join(_SWEEPS)}, got {_safe_repr(kind)}")
     count, seed, max_value = _integers((count, seed, max_value), "count, seed and max")
     if count < 1:
         raise DomainError(f"count must be at least 1, got {count}")

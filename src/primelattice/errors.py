@@ -17,6 +17,15 @@ def _shown(value: int) -> str:
         return f"a {'negative ' if value < 0 else ''}{value.bit_length()}-bit integer"
 
 
+def _safe_repr(value: object) -> str:
+    """repr(value) for an error message, or its type's name when the repr would
+    hold an int past str()'s digit limit, as repr(Fraction(10**5000)) does."""
+    try:
+        return repr(value)
+    except ValueError:
+        return f"a {type(value).__name__} too long to quote"
+
+
 def _integer(value: int, requirement: str) -> int:
     """Return value as an int, rejecting bools and anything without __index__;
     requirement opens the error message, e.g. "gcd/lcm require integers"."""
@@ -25,7 +34,7 @@ def _integer(value: int, requirement: str) -> int:
     try:
         return operator.index(value)
     except TypeError:
-        raise DomainError(f"{requirement}, got {value!r}") from None
+        raise DomainError(f"{requirement}, got {_safe_repr(value)}") from None
 
 
 def _integers(values: Iterable[int], noun: str) -> tuple[int, ...]:

@@ -1,17 +1,20 @@
 """Cycle structure and multiplicative order of finite permutations.
 
 A permutation is given in one-line notation: position i maps to perm[i-1],
-with entries 1..n each appearing once. The order of the permutation is the
-lcm of its cycle lengths; verify_order checks that claim literally, by
-iterating the permutation.
+with entries 1..n each appearing once. Entries are ints; int subclasses
+such as IntEnum members count as their value, and bools are rejected. One
+pass both checks a permutation and walks its cycles. The order of the
+permutation is the lcm of its cycle lengths; verify_order checks that claim
+literally, by iterating the permutation.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import DomainError, _integer, _positive_non_increasing, _shown, _trusted
+from .errors import DomainError, _integer, _positive_non_increasing, _safe_repr, _shown, _trusted
 from .gcdlcm import gcd_lcm_set
 
 
@@ -30,41 +33,71 @@ class CycleDecomposition:
             raise DomainError(f"cycle lengths sum to {_shown(sum(lengths))}, expected {_shown(self.n)}")
 
 
-def _validate_one_line(perm: Sequence[int]) -> list[int]:
+def _checked_entries(perm: Sequence[int]) -> list[int]:
+    """The entries of perm as exact ints, or a DomainError naming the first
+    entry that keeps perm from being a one-line permutation of 1..n."""
     if not perm:
         raise DomainError("permutation must have at least one entry")
     n = len(perm)
     seen = [False] * (n + 1)
     for i, v in enumerate(perm, start=1):
-        # exact ints skip both isinstance calls, which cost a quarter of this loop
-        if type(v) is not int and (isinstance(v, bool) or not isinstance(v, int)):
-            raise DomainError(f"permutation entries must be integers, got {v!r} at position {i}")
+        if isinstance(v, bool) or not isinstance(v, int):
+            raise DomainError(f"permutation entries must be integers, got {_safe_repr(v)} at position {i}")
         if not 1 <= v <= n:
             raise DomainError(f"entry {_shown(v)} at position {i} is outside 1..{n}")
         if seen[v]:
             raise DomainError(f"entry {v} at position {i} repeats an earlier value")
         seen[v] = True
-    return [v - 1 for v in perm]
+    return [int(v) for v in perm]
+
+
+def _walk(entries: Sequence[int]) -> list[int]:
+    """Cycle lengths of int entries in one-line notation, by walks that zero
+    each entry they visit, each with its start parked in m[0]. An entry above
+    n raises IndexError. A repeat leads to a zeroed entry, which leads, as a 0
+    does, through m[0] back to the start, so the lengths then sum past n."""
+    m = [0, *entries]
+    lengths = []
+    for start in range(1, len(m)):
+        j = m[start]
+        if j:
+            m[start] = 0
+            m[0] = start
+            length = 1
+            while j != start:
+                m[j], j = 0, m[j]
+                length += 1
+            lengths.append(length)
+    return lengths
+
+
+def _cycle_lengths(perm: Sequence[int]) -> list[int]:
+    """Cycle lengths of a one-line permutation, checked in the same pass.
+
+    Exact ints, tested at C speed, are walked directly. They are a
+    permutation of 1..n exactly when the walk raises no IndexError, its
+    lengths sum to n and the entries sum to n(n+1)/2: a negative entry
+    indexes m from its end, as if it were n + 1 larger, so the lengths alone
+    miss it. Anything else goes to _checked_entries, which raises for the
+    first bad entry or returns int subclass entries as exact ints.
+    """
+    if perm and operator.countOf(map(type, perm), int) == len(perm):
+        n = len(perm)
+        try:
+            lengths = _walk(perm)
+        except IndexError:
+            pass
+        else:
+            if sum(lengths) == n and sum(perm) == n * (n + 1) // 2:
+                return lengths
+    return _walk(_checked_entries(perm))
 
 
 def cycle_decompose(perm: Sequence[int]) -> CycleDecomposition:
     """Split a one-line permutation into its cycle lengths."""
-    mapping = _validate_one_line(perm)
-    n = len(mapping)
-    visited = [False] * n
-    lengths = []
-    for start in range(n):
-        if visited[start]:
-            continue
-        length = 0
-        j = start
-        while not visited[j]:
-            visited[j] = True
-            j = mapping[j]
-            length += 1
-        lengths.append(length)
+    lengths = _cycle_lengths(perm)
     lengths.sort(reverse=True)
-    return _trusted(CycleDecomposition, n, tuple(lengths))
+    return _trusted(CycleDecomposition, len(perm), tuple(lengths))
 
 
 def order(decomposition: CycleDecomposition) -> int:
@@ -81,7 +114,8 @@ def verify_order(perm: Sequence[int], m: int) -> bool:
     m = _integer(m, "order candidate must be an integer")
     if m < 1:
         raise DomainError(f"order candidate must be positive, got {_shown(m)}")
-    mapping = _validate_one_line(perm)
+    _cycle_lengths(perm)  # the one check of perm; its lengths are not the oracle's
+    mapping = [v - 1 for v in perm]
     n = len(mapping)
     identity = list(range(n))
     state = identity[:]

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -58,6 +59,10 @@ NON_INTEGER_CALLS = {
     "primes_up_to-bool": lambda: primes_up_to(True),
     "primes_up_to-str": lambda: primes_up_to("7"),
     "cycle_decompose-bool": lambda: cycle_decompose([True]),
+    # repr of these passes str()'s digit limit, which ended in a bare ValueError
+    "factorize-huge-fraction": lambda: factorize(Fraction(10**5000)),
+    "gcd_lcm_set-huge-fraction": lambda: gcd_lcm_set([Fraction(10**5000)]),
+    "cycle_decompose-huge-fraction": lambda: cycle_decompose([Fraction(10**5000)]),
     "verify_order-bool-entry": lambda: verify_order([True], 1),
     "verify_order-float-m": lambda: verify_order([2, 1], 2.0),
     "gcd_euclid-fraction": lambda: gcd_euclid(4.5, 3),
@@ -134,6 +139,24 @@ HUGE_INTEGER_CALLS = {
 def test_public_entries_reject_huge_integers(call):
     with pytest.raises(DomainError, match="16610-bit integer"):
         call()
+
+
+def test_a_value_too_long_to_quote_is_named_by_its_type():
+    huge = Fraction(10**5000)
+    with pytest.raises(DomainError) as exc:
+        factorize(huge)
+    assert str(exc.value) == "factorization requires an integer, got a Fraction too long to quote"
+    with pytest.raises(DomainError) as exc:
+        cycle_decompose([2, 1, huge])
+    assert str(exc.value) == "permutation entries must be integers, got a Fraction too long to quote at position 3"
+    with pytest.raises(DomainError) as exc:
+        verify_sweep(huge, 1, 1, 10)
+    assert str(exc.value) == (
+        "kind must be one of product, distributive, oracle, roundtrip, got a Fraction too long to quote"
+    )
+    # a value that fits is still quoted by its repr
+    with pytest.raises(DomainError, match=r"got Fraction\(21, 2\) at position 1$"):
+        cycle_decompose([Fraction(21, 2)])
 
 
 def test_verify_sweep_names_the_kinds_on_an_unknown_one():

@@ -1,3 +1,4 @@
+import enum
 import itertools
 
 import pytest
@@ -60,6 +61,26 @@ def test_one_line_validation_errors():
         cycle_decompose([])
     with pytest.raises(DomainError):
         cycle_decompose([1, 0, 2])
+
+
+def test_int_enum_entries_count_as_their_values():
+    # int subclasses fail the exact-int gate and are walked as exact ints
+    Slot = enum.IntEnum("Slot", "A B C D E")
+    perm = [Slot.B, Slot.A, Slot.D, Slot.E, Slot.C]
+    d = cycle_decompose(perm)
+    assert d == cycle_decompose([2, 1, 4, 5, 3])
+    assert verify_order(perm, 6)
+    assert not verify_order(perm, 3)
+
+
+@pytest.mark.parametrize("kind", [list, tuple])
+def test_degree_100000(kind):
+    n = 10**5
+    assert cycle_decompose(kind(range(1, n + 1))).cycle_lengths == (1,) * n
+    one_cycle = kind([*range(2, n + 1), 1])
+    assert cycle_decompose(one_cycle) == CycleDecomposition(n=n, cycle_lengths=(n,))
+    two_cycles = kind([*range(2, n // 2 + 1), 1, *range(n // 2 + 2, n + 1), n // 2 + 1])
+    assert cycle_decompose(two_cycles).cycle_lengths == (n // 2, n // 2)
 
 
 def test_verify_order_accepts_only_the_order():
