@@ -52,10 +52,16 @@ def _checked_entries(perm: Sequence[int]) -> list[int]:
 
 
 def _walk(entries: Sequence[int]) -> list[int]:
-    """Cycle lengths of int entries in one-line notation, by walks that zero
-    each entry they visit, each with its start parked in m[0]. An entry above
-    n raises IndexError. A repeat leads to a zeroed entry, which leads, as a 0
-    does, through m[0] back to the start, so the lengths then sum past n."""
+    """Cycle lengths of entries in one-line notation, all of them ints >= 1.
+
+    Each walk zeroes the entries it visits and parks its start in m[0]. A
+    walk that meets an entry zeroed before follows its 0 to m[0] and so back
+    to its start, counting two steps that visit no new entry. An entry above
+    n raises IndexError when the walk uses it as an index. Each entry is
+    first visited by exactly one walk, so the lengths sum to n exactly when
+    every walk closed a cycle, that is, when the entries are a permutation
+    of 1..n.
+    """
     m = [0, *entries]
     lengths = []
     for start in range(1, len(m)):
@@ -74,21 +80,18 @@ def _walk(entries: Sequence[int]) -> list[int]:
 def _cycle_lengths(perm: Sequence[int]) -> list[int]:
     """Cycle lengths of a one-line permutation, checked in the same pass.
 
-    Exact ints, tested at C speed, are walked directly. They are a
-    permutation of 1..n exactly when the walk raises no IndexError, its
-    lengths sum to n and the entries sum to n(n+1)/2: a negative entry
-    indexes m from its end, as if it were n + 1 larger, so the lengths alone
-    miss it. Anything else goes to _checked_entries, which raises for the
+    Exact ints, all of them >= 1 (both tested at C speed), are walked
+    directly and accepted when the walk raises no IndexError and its lengths
+    sum to n. Anything else goes to _checked_entries, which raises for the
     first bad entry or returns int subclass entries as exact ints.
     """
-    if perm and operator.countOf(map(type, perm), int) == len(perm):
-        n = len(perm)
+    if perm and operator.countOf(map(type, perm), int) == len(perm) and min(perm) >= 1:
         try:
             lengths = _walk(perm)
         except IndexError:
             pass
         else:
-            if sum(lengths) == n and sum(perm) == n * (n + 1) // 2:
+            if sum(lengths) == len(perm):
                 return lengths
     return _walk(_checked_entries(perm))
 

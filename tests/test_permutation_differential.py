@@ -9,6 +9,7 @@ DomainError message on both sides.
 """
 
 import enum
+import itertools
 import random
 
 import pytest
@@ -92,14 +93,30 @@ FOREIGN = (
 )
 
 
+def zeroed_and_raised(rng, perm):
+    """Zero one int entry of perm and raise other int entries, up to n, by
+    as much in all, so the entries keep their sum and mostly gain repeats."""
+    n = len(perm)
+    i = rng.randrange(n)
+    if type(perm[i]) is not int or perm[i] <= 0:
+        return
+    debt, perm[i] = perm[i], 0
+    for k in rng.sample(range(n), n):
+        if debt and k != i and type(perm[k]) is int and 0 < perm[k] < n:
+            step = min(debt, n - perm[k])
+            perm[k] += step
+            debt -= step
+
+
 def corrupted(rng, perm):
     """perm with one to three entries replaced: by a repeat at the first or
     last position or anywhere, by v - (n + 1) for its value v (the position
-    a negative list index reads), or by a value outside 1..n or not an int."""
+    a negative list index reads), by a value outside 1..n or not an int, or
+    by a 0 whose value is spread over repeats of larger ones."""
     perm = perm[:]
     n = len(perm)
     for _ in range(rng.randint(1, 3)):
-        kind = rng.randrange(5)
+        kind = rng.randrange(6)
         if kind == 0:
             perm[0] = perm[rng.randrange(n)]
         elif kind == 1:
@@ -110,8 +127,10 @@ def corrupted(rng, perm):
             i = rng.randrange(n)
             if type(perm[i]) is int:
                 perm[i] -= n + 1
-        else:
+        elif kind == 4:
             perm[rng.randrange(n)] = rng.choice(FOREIGN)(n)
+        else:
+            zeroed_and_raised(rng, perm)
     return perm
 
 
@@ -121,7 +140,7 @@ def random_inputs(seed, count):
         if rng.random() < 0.05:
             yield range(rng.randint(-2, 42), rng.randint(-2, 42), rng.choice((1, 2, -1)))
             continue
-        perm = list(range(1, rng.randint(1, 40) + 1))
+        perm = list(range(1, rng.randint(1, rng.choice((8, 40))) + 1))
         rng.shuffle(perm)
         if rng.random() < 0.6:
             perm = corrupted(rng, perm)
@@ -149,10 +168,12 @@ FIXED_INPUTS = [
     [2, 1, 4, 2],  # the walk from 3 meets 2, zeroed by an earlier cycle
     [1, 0, 2],
     [0, 1],
-    [-1, 1],  # -1 indexes the last position in a list
+    [-1, 1],  # -1 indexes the last position, so a walk alone reads [2, 1]
     [2, -1],
     [-3, 1, 2],
-    [2, 3, -3],  # -3 indexes position 1, so the walk alone sees [2, 3, 1]
+    [2, 3, -3],
+    [4, 0, 0, 6, 6, 5],  # zeros offset repeats: the walk's lengths sum to n, the entries to n(n+1)/2
+    (4, 0, 0, 6, 6, 5),
     [1, 5, 3],
     [2, 3, 4],
     [2**70, 1],
@@ -201,3 +222,16 @@ def test_random_inputs_match_the_reference(seed):
         assert outcome(verify_order, perm, m) == outcome(reference_verify_order, perm, m), (perm, m)
     # most corrupted inputs fail, and most of the others are permutations
     assert 500 < failures < 1200
+
+
+@pytest.mark.parametrize("n, low, high", [(1, -2, 3), (2, -2, 4), (3, -2, 5), (4, -1, 5), (5, -1, 6), (6, 0, 6)])
+def test_every_short_sequence_matches_the_reference(n, low, high):
+    # every list of n entries from low..high: all permutations, and every way
+    # zeros, negatives, values above n and repeats can offset one another
+    for perm in itertools.product(range(low, high + 1), repeat=n):
+        perm = list(perm)
+        want = outcome(reference_lengths, perm)
+        got = outcome(cycle_decompose, perm)
+        if got[0] == "ok":
+            got = "ok", got[1].cycle_lengths
+        assert got == want, perm
