@@ -1,4 +1,5 @@
 import operator
+from dataclasses import dataclass, fields
 from typing import Iterable, TypeVar
 
 _T = TypeVar("_T")
@@ -43,14 +44,28 @@ def _integers(values: Iterable[int], noun: str) -> tuple[int, ...]:
     return tuple(x if type(x) is int else _integer(x, f"{noun} must be integers") for x in values)
 
 
-def _trusted(cls: type[_T], *values: object) -> _T:
-    """Build a frozen dataclass from field values the library has just proved,
-    in field order, without running its validating __post_init__. Public
-    constructors keep validating what callers pass in."""
-    obj = object.__new__(cls)
-    for name, value in zip(cls.__dataclass_fields__, values, strict=True):
-        object.__setattr__(obj, name, value)
-    return obj
+def _frozen(cls: type[_T]) -> type[_T]:
+    """Make cls a frozen slots dataclass and give it cls._trusted(*values).
+
+    _trusted builds an instance from field values the library has just
+    proved, in field order (init=False fields too), without running the
+    validating __post_init__; public constructors keep validating what
+    callers pass in. Like the dataclass __init__, the builder is generated
+    once per class: object.__new__ and one slot store per field, unrolled.
+    """
+    slotted = dataclass(frozen=True, slots=True)(cls)
+    # the frozen __setattr__ and __delattr__ test against the class before slots
+    # (Python 3.10 to 3.13), which made setting an undeclared name a TypeError
+    for cell in (*slotted.__setattr__.__closure__, *slotted.__delattr__.__closure__):
+        if cell.cell_contents is cls:
+            cell.cell_contents = slotted
+    names = [f.name for f in fields(slotted)]
+    scope = {"_new": object.__new__, "_cls": slotted}
+    scope.update((f"_set_{name}", getattr(slotted, name).__set__) for name in names)
+    stores = "".join(f"    _set_{name}(_obj, {name})\n" for name in names)
+    exec(f"def _trusted({', '.join(names)}):\n    _obj = _new(_cls)\n{stores}    return _obj\n", scope)
+    slotted._trusted = staticmethod(scope["_trusted"])
+    return slotted
 
 
 def _positive_non_increasing(values: Iterable[int], noun: str) -> tuple[int, ...]:

@@ -17,10 +17,9 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass
 from itertools import compress
 
-from .errors import DomainError, _integer, _integers, _shown, _trusted
+from .errors import DomainError, _frozen, _integer, _integers, _shown
 from .rng import SplitMix64
 
 MAX_INPUT = 2**64 - 1
@@ -120,7 +119,7 @@ def primes_up_to(limit: int) -> list[int]:
     return _eratosthenes(limit)
 
 
-@dataclass(frozen=True)
+@_frozen
 class Factorization:
     """Canonical factorization as ((prime, exponent), ...) with primes ascending.
 
@@ -159,7 +158,7 @@ def reconstruct(f: Factorization) -> int:
 def factorize(n: int) -> Factorization:
     """Factor a positive integer up to 2**64 - 1."""
     n = _integer(n, "factorization requires an integer")
-    return _trusted(Factorization, tuple(sorted(_prime_powers(n).items())))
+    return Factorization._trusted(tuple(sorted(_prime_powers(n).items())))
 
 
 def _prime_powers(n: int) -> dict[int, int]:
@@ -210,11 +209,16 @@ def _prime_powers(n: int) -> dict[int, int]:
         e = (m & -m).bit_length() - 1
         powers[2] = e
         m >>= e
+    # the table names m's least prime, so each prime comes in one run, unseen before
     while p := _odd_spf[m >> 1]:
-        powers[p] = powers.get(p, 0) + 1
         m //= p
+        e = 1
+        while m % p == 0:
+            m //= p
+            e += 1
+        powers[p] = e
     if m > 1:
-        powers[m] = powers.get(m, 0) + 1
+        powers[m] = 1
     return powers
 
 

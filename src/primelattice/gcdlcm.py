@@ -9,16 +9,15 @@ lattice computation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 from . import lattice
-from .errors import DomainError, _integer, _integers, _shown, _trusted
+from .errors import DomainError, _frozen, _integer, _integers, _shown
 from .factorization import _prime_powers, factorize
 from .lattice import ExponentVector, PrimeSupport, align, join, meet
 
 
-@dataclass(frozen=True)
+@_frozen
 class GcdLcmResult:
     """gcd and lcm of a set, with the exponent vectors that produced them."""
 
@@ -42,7 +41,7 @@ class GcdLcmResult:
             raise DomainError("support does not match the exponent vectors' support")
 
 
-@dataclass(frozen=True)
+@_frozen
 class ReducedRatio:
     """A ratio in lowest terms; left and right are positive and coprime."""
 
@@ -59,7 +58,7 @@ class ReducedRatio:
             raise DomainError(f"{_shown(self.left)}:{_shown(self.right)} is not in lowest terms")
 
 
-@dataclass(frozen=True)
+@_frozen
 class ProductCheck:
     """Evaluation of gcd(a, b) * lcm(a, b) == a * b for one pair."""
 
@@ -72,7 +71,7 @@ class ProductCheck:
     holds: bool
 
 
-@dataclass(frozen=True)
+@_frozen
 class DistributiveCheck:
     """Evaluation of gcd(lcm(a,b), lcm(b,c), lcm(a,c)) == lcm(gcd(a,b), gcd(b,c), gcd(a,c)).
 
@@ -100,37 +99,41 @@ def gcd_lcm_set(values: Sequence[int]) -> GcdLcmResult:
     same for -4 as for 4. Zero is rejected because max exponents (and with
     them the lcm) stop existing once zero joins the set.
 
-    Each value is factored once and its prime-to-exponent map is folded in
-    one pass into the maximum exponent of every prime seen and the minimum
-    over primes common to all values; once no prime is common, later values
-    only raise maxima. The gcd and lcm are products over those two maps, so
-    the cost follows the factor entries rather than the number of values
-    times the joint support. The factorizer proves every prime it returns,
-    so the support, both vectors and the result are built from those proved
-    parts without re-validation.
+    Each value is factored once. One pass over the prime-to-exponent maps
+    keeps every prime's maximum exponent. The gcd lives on the primes all
+    values share, found by intersecting the maps' keys at C speed; most sets
+    share none, and then the gcd is 1 with no minimum taken. So the cost
+    follows the factor entries rather than the number of values times the
+    joint support. The factorizer proves every prime it returns, so the
+    support, both vectors and the result are built from those proved parts
+    without re-validation.
     """
     vals = [v if type(v) is int else _integer(v, "gcd/lcm require integers") for v in values]
     if not vals:
         raise DomainError("gcd/lcm of an empty set is undefined")
     if 0 in vals:
         raise DomainError("gcd/lcm require nonzero integers; zero admits no exponent vector")
-    tables = (_prime_powers(abs(v)) for v in vals)
-    lows = next(tables)
-    highs = dict(lows)
-    for table in tables:
+    tables = [_prime_powers(abs(v)) for v in vals]
+    highs = dict(tables[0])
+    for table in tables[1:]:
         for p, e in table.items():
             if e > highs.get(p, 0):
                 highs[p] = e
-        # a prime missing from this value has exponent 0, so it leaves lows,
-        # and once lows is empty no later value can refill it
-        if lows:
-            lows = {p: min(e, table[p]) for p, e in lows.items() if p in table}
-    support = _trusted(PrimeSupport, tuple(sorted(highs)))
-    mins = _trusted(ExponentVector, support, tuple(lows.get(p, 0) for p in support.primes))
-    maxs = _trusted(ExponentVector, support, tuple(highs[p] for p in support.primes))
-    gcd = math.prod(p**e for p, e in lows.items())
-    lcm = math.prod(p**e for p, e in highs.items())
-    return _trusted(GcdLcmResult, gcd, lcm, support, mins, maxs)
+    primes = tuple(sorted(highs))
+    maxs = tuple(map(highs.__getitem__, primes))
+    # a prime missing from any value has exponent 0 in the gcd
+    shared = set(tables[0]).intersection(*tables[1:])
+    if shared:
+        mins = tuple(min(t[p] for t in tables) if p in shared else 0 for p in primes)
+        gcd = math.prod(map(pow, primes, mins))
+    else:
+        mins = (0,) * len(primes)
+        gcd = 1
+    support = PrimeSupport._trusted(primes)
+    return GcdLcmResult._trusted(
+        gcd, math.prod(map(pow, primes, maxs)), support,
+        ExponentVector._trusted(support, mins), ExponentVector._trusted(support, maxs),
+    )
 
 
 def gcd_euclid(a: int, b: int) -> int:
@@ -159,7 +162,7 @@ def reduce_ratio(a: int, b: int) -> ReducedRatio:
         raise DomainError("ratio terms must be nonzero")
     a, b = abs(a), abs(b)
     g = gcd_euclid(a, b)
-    return _trusted(ReducedRatio, a // g, b // g)
+    return ReducedRatio._trusted(a // g, b // g)
 
 
 def check_product_identity(a: int, b: int) -> ProductCheck:

@@ -18,10 +18,10 @@ bounded table against an unbounded one, for every n up to DP_LIMIT.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import Callable, Iterator
 
-from .errors import DomainError, _integer, _integers, _positive_non_increasing, _shown, _trusted
+from .errors import DomainError, _frozen, _integer, _integers, _positive_non_increasing, _shown
 from .factorization import primes_up_to
 from .gcdlcm import gcd_lcm_set
 
@@ -32,7 +32,7 @@ DP_LIMIT = 10**4
 PARTITION_COUNT_LIMIT = 10**4
 
 
-@dataclass(frozen=True)
+@_frozen
 class Partition:
     """Non-increasing positive parts; n is their sum."""
 
@@ -45,7 +45,7 @@ class Partition:
         object.__setattr__(self, "n", sum(parts))
 
 
-@dataclass(frozen=True)
+@_frozen
 class LandauRecord:
     """Maximal lcm at n, a partition attaining it, and the growth ratio.
 
@@ -94,7 +94,7 @@ def partitions(n: int) -> Iterator[Partition]:
     if n < 0:
         raise DomainError(f"partitions are defined for nonnegative n, got {_shown(n)}")
     parts = [n] if n else []
-    yield _trusted(Partition, tuple(parts), n)
+    yield Partition._trusted(tuple(parts), n)
     while parts and parts[0] > 1:
         rest = 1
         while parts[-1] == 1:
@@ -104,7 +104,7 @@ def partitions(n: int) -> Iterator[Partition]:
             parts.append(part)
             rest -= part
         parts.append(rest)
-        yield _trusted(Partition, tuple(parts), n)
+        yield Partition._trusted(tuple(parts), n)
 
 
 def partition_count(n: int) -> int:
@@ -186,7 +186,7 @@ def landau_bruteforce(n: int) -> LandauRecord:
     return LandauRecord(n=n, value=best, witness=Partition(witness), ratio=_ratio(n, best))
 
 
-@dataclass(frozen=True)
+@_frozen
 class _DpTable:
     """Knapsack table over prime powers; values[b] is the maximal lcm for budget b.
 
@@ -269,7 +269,7 @@ def landau_dp(n: int) -> LandauRecord:
     parts = _witness_parts(table, n)
     # the knapsack only multiplies prime powers, so math.lcm checks its witness by another method
     _check_witness(n, value, parts, math.lcm)
-    return _trusted(LandauRecord, n, value, _trusted(Partition, parts, n), _ratio(n, value))
+    return LandauRecord._trusted(n, value, Partition._trusted(parts, n), _ratio(n, value))
 
 
 def asymptotic_table(n_max: int, step: int = 1) -> list[LandauRecord]:

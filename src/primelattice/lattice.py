@@ -10,14 +10,13 @@ error, never a silent re-alignment.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import DomainError, _integers, _shown, _trusted
+from .errors import DomainError, _frozen, _integers, _shown
 from .factorization import Factorization, is_prime
 
 
-@dataclass(frozen=True)
+@_frozen
 class PrimeSupport:
     """Ascending tuple of the distinct primes a vector is indexed by."""
 
@@ -38,7 +37,7 @@ class PrimeSupport:
         return len(self.primes)
 
 
-@dataclass(frozen=True)
+@_frozen
 class ExponentVector:
     """Nonnegative exponents, one per support prime."""
 
@@ -79,11 +78,11 @@ def align(factorizations: Iterable[Factorization]) -> tuple[PrimeSupport, list[E
     union: set[int] = set()
     for f in facs:
         union.update(p for p, _ in f.entries)
-    support = _trusted(PrimeSupport, tuple(sorted(union)))
+    support = PrimeSupport._trusted(tuple(sorted(union)))
     vectors = []
     for f in facs:
         table = f.as_dict()
-        vectors.append(_trusted(ExponentVector, support, tuple(table.get(p, 0) for p in support.primes)))
+        vectors.append(ExponentVector._trusted(support, tuple(table.get(p, 0) for p in support.primes)))
     return support, vectors
 
 
@@ -91,20 +90,20 @@ def meet(vectors: Sequence[ExponentVector]) -> ExponentVector:
     """Pointwise minimum; the exponent vector of the gcd."""
     support = _common_support(vectors)
     lows = tuple(min(v.exponents[i] for v in vectors) for i in range(len(support)))
-    return _trusted(ExponentVector, support, lows)
+    return ExponentVector._trusted(support, lows)
 
 
 def join(vectors: Sequence[ExponentVector]) -> ExponentVector:
     """Pointwise maximum; the exponent vector of the lcm."""
     support = _common_support(vectors)
     highs = tuple(max(v.exponents[i] for v in vectors) for i in range(len(support)))
-    return _trusted(ExponentVector, support, highs)
+    return ExponentVector._trusted(support, highs)
 
 
 def add(a: ExponentVector, b: ExponentVector) -> ExponentVector:
     """Pointwise sum; multiplication of the underlying integers."""
     support = _common_support((a, b))
-    return _trusted(ExponentVector, support, tuple(x + y for x, y in zip(a.exponents, b.exponents)))
+    return ExponentVector._trusted(support, tuple(x + y for x, y in zip(a.exponents, b.exponents)))
 
 
 def dominates(a: ExponentVector, b: ExponentVector) -> bool:

@@ -11,14 +11,13 @@ literally, by iterating the permutation.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import DomainError, _integer, _positive_non_increasing, _safe_repr, _shown, _trusted
+from .errors import DomainError, _frozen, _integer, _positive_non_increasing, _safe_repr, _shown
 from .gcdlcm import gcd_lcm_set
 
 
-@dataclass(frozen=True)
+@_frozen
 class CycleDecomposition:
     """Cycle lengths of a permutation of n symbols, longest first."""
 
@@ -44,7 +43,7 @@ def _checked_entries(perm: Sequence[int]) -> list[int]:
         if isinstance(v, bool) or not isinstance(v, int):
             raise DomainError(f"permutation entries must be integers, got {_safe_repr(v)} at position {i}")
         if not 1 <= v <= n:
-            raise DomainError(f"entry {_shown(v)} at position {i} is outside 1..{n}")
+            raise DomainError(f"entry {_shown(operator.index(v))} at position {i} is outside 1..{n}")
         if seen[v]:
             raise DomainError(f"entry {v} at position {i} repeats an earlier value")
         seen[v] = True
@@ -100,7 +99,7 @@ def cycle_decompose(perm: Sequence[int]) -> CycleDecomposition:
     """Split a one-line permutation into its cycle lengths."""
     lengths = _cycle_lengths(perm)
     lengths.sort(reverse=True)
-    return _trusted(CycleDecomposition, len(perm), tuple(lengths))
+    return CycleDecomposition._trusted(len(perm), tuple(lengths))
 
 
 def order(decomposition: CycleDecomposition) -> int:

@@ -1,11 +1,8 @@
-import contextlib
 import errno
-import io
 import json
 import os
 import subprocess
 import sys
-from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -14,14 +11,7 @@ from primelattice import DomainError, cli, gcdlcm
 from primelattice.factorization import primes_up_to
 from primelattice.rng import SplitMix64
 
-GOLDEN_DIR = Path(__file__).parent / "golden"
-
-
-def run_cli(argv):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.run(argv)
-    return code, out.getvalue(), err.getvalue()
+from matrix_checks import GOLDEN_CASES, GOLDEN_DIR, run_cli
 
 
 def run_json(argv):
@@ -30,38 +20,8 @@ def run_json(argv):
     return json.loads(out)
 
 
-_VERIFY_PRODUCT = ["verify", "--kind", "product", "--count", "20", "--seed", "1", "--max", "1000"]
-
-
 class TestGoldenFiles:
-    # test ids number the cases in this order, so new cases go at the end
-    CASES = {
-        "gcd_60_90.txt": ["gcd", "60", "90"],
-        "landau_5_both.txt": ["landau", "5", "--method", "both"],
-        "order_cycles_24_16.txt": ["order", "--cycles", "24,16"],
-        "ratio_8_12.txt": ["ratio", "8", "12"],
-        "factor_360.json": ["factor", "360", "--format", "json"],
-        "factor_360.csv": ["factor", "360", "--format", "csv"],
-        "gcd_60_90.json": ["gcd", "60", "90", "--format", "json"],
-        "gcd_60_90.csv": ["gcd", "60", "90", "--format", "csv"],
-        "lcm_24_16.txt": ["lcm", "24", "16"],
-        "lcm_24_16.json": ["lcm", "24", "16", "--format", "json"],
-        "lcm_24_16.csv": ["lcm", "24", "16", "--format", "csv"],
-        "ratio_8_12.json": ["ratio", "8", "12", "--format", "json"],
-        "ratio_8_12.csv": ["ratio", "8", "12", "--format", "csv"],
-        "order_perm_21453.json": ["order", "--perm", "2,1,4,5,3", "--format", "json"],
-        "order_perm_21453.csv": ["order", "--perm", "2,1,4,5,3", "--format", "csv"],
-        "landau_5.json": ["landau", "5", "--format", "json"],
-        "landau_5.csv": ["landau", "5", "--format", "csv"],
-        "landau_5_both.json": ["landau", "5", "--method", "both", "--format", "json"],
-        "landau_5_both.csv": ["landau", "5", "--method", "both", "--format", "csv"],
-        "table_6.txt": ["table", "--max", "6"],
-        "table_6.json": ["table", "--max", "6", "--format", "json"],
-        "table_6.csv": ["table", "--max", "6", "--format", "csv"],
-        "verify_product_20_1_1000.txt": _VERIFY_PRODUCT,
-        "verify_product_20_1_1000.json": _VERIFY_PRODUCT + ["--format", "json"],
-        "verify_product_20_1_1000.csv": _VERIFY_PRODUCT + ["--format", "csv"],
-    }
+    CASES = GOLDEN_CASES
 
     @pytest.mark.parametrize("name,argv", list(CASES.items()))
     def test_matches_golden(self, name, argv):

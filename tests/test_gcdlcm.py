@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from primelattice import (
@@ -13,7 +13,7 @@ from primelattice import (
     reduce_ratio,
 )
 from primelattice import gcdlcm
-from primelattice.factorization import factorize
+from primelattice.factorization import _prime_powers, factorize
 from primelattice.gcdlcm import GcdLcmResult, ReducedRatio
 from primelattice.lattice import PrimeSupport, ExponentVector, align, join, meet
 
@@ -124,6 +124,60 @@ def test_one_pass_fold_matches_dense_route(values):
     assert res.max_exponents == join(vectors)
     assert res.gcd == math.gcd(*values)
     assert res.lcm == math.lcm(*values)
+
+
+def _dict_fold(values):
+    """The earlier fold of gcd_lcm_set: running min and max exponent maps,
+    the min map dropping every prime a value lacks."""
+    tables = (_prime_powers(abs(v)) for v in values)
+    lows = next(tables)
+    highs = dict(lows)
+    for table in tables:
+        for p, e in table.items():
+            if e > highs.get(p, 0):
+                highs[p] = e
+        if lows:
+            lows = {p: min(e, table[p]) for p, e in lows.items() if p in table}
+    primes = tuple(sorted(highs))
+    return (
+        math.prod(p**e for p, e in lows.items()),
+        math.prod(p**e for p, e in highs.items()),
+        primes,
+        tuple(lows.get(p, 0) for p in primes),
+        tuple(highs[p] for p in primes),
+    )
+
+
+# up to 8 values, some above the 10**6 table, some negative, and often a
+# shared factor so that the minima stay filled
+_shared_fold_values = st.tuples(
+    st.lists(
+        st.one_of(st.integers(-(10**12), 10**12), st.sampled_from([1, -1, 2, 9, 64, 999983])).filter(bool),
+        min_size=1,
+        max_size=8,
+    ),
+    st.sampled_from([1, 1, 2, 12, 97, 2**20, 999983, 3**10]),
+).map(lambda drawn: [drawn[1] * v for v in drawn[0]])
+
+
+@settings(max_examples=300)
+@given(_shared_fold_values)
+@example([12, 18])
+@example([7, 11, 13])
+@example([2**40, 3**25])
+@example([-(999983**2), 999983 * 2])
+@example([1, 1])
+def test_fold_matches_the_dict_fold(values):
+    res = gcd_lcm_set(values)
+    got = (res.gcd, res.lcm, res.support.primes, res.min_exponents.exponents, res.max_exponents.exponents)
+    # repr also tells an int from an equal int subclass or float
+    assert repr(got) == repr(_dict_fold(values))
+    assert res.min_exponents.support is res.support is res.max_exponents.support
+
+
+def test_the_dict_fold_reference():
+    assert _dict_fold([12, 18]) == (6, 36, (2, 3), (1, 1), (2, 2))
+    assert _dict_fold([-8, 9]) == (1, 72, (2, 3), (0, 0), (3, 2))
 
 
 def test_result_type_rejects_inconsistent_fields():

@@ -13,6 +13,7 @@ from primelattice import (
     order,
     verify_order,
 )
+from primelattice import permutation
 
 
 def _compose(p, q):
@@ -90,6 +91,15 @@ def test_verify_order_accepts_only_the_order():
         assert not verify_order(perm, wrong), wrong
     with pytest.raises(DomainError):
         verify_order(perm, 0)
+
+
+def test_verify_order_does_not_read_the_cycle_lengths(monkeypatch):
+    # a 3-cycle and a 2-cycle; the patched lengths claim five fixed points,
+    # whose lcm is 1, so an oracle that took the lcm of them would answer 1
+    perm = [2, 3, 1, 5, 4]
+    monkeypatch.setattr(permutation, "_cycle_lengths", lambda p: [1] * len(p))
+    assert verify_order(perm, 6) is True
+    assert verify_order(perm, 1) is False
 
 
 @given(st.permutations(list(range(1, 9))))

@@ -2,27 +2,84 @@
 still be values those constructors accept: rebuilding each one through its
 public constructor from its own fields gives an equal value with the same
 hash and repr. The runtime trusts these invariants; the tests keep proving
-them."""
+them. Every domain type is a frozen slots dataclass whose _trusted builder
+takes exactly its fields, and dataclasses.replace still validates."""
 
 import dataclasses
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from primelattice import asymptotic_table, cycle_decompose, factorize, gcd_lcm_set, landau_dp, partitions, reduce_ratio
+import primelattice
+from primelattice import (
+    DomainError,
+    ExponentVector,
+    PrimeSupport,
+    asymptotic_table,
+    cycle_decompose,
+    factorize,
+    gcd_lcm_set,
+    landau_dp,
+    partitions,
+    reduce_ratio,
+)
+from primelattice.landau import _DpTable
 from primelattice.lattice import add, align, join, meet
+
+from matrix_checks import assert_frozen_slots, assert_rebuilds, domain_values
 
 nonzero = st.integers(min_value=-(10**6), max_value=10**6).filter(lambda v: v != 0)
 positive = st.integers(min_value=1, max_value=10**6)
 
+DOMAIN_VALUES = domain_values()
 
-def assert_rebuilds(value):
-    cls = type(value)
-    rebuilt = cls(**{f.name: getattr(value, f.name) for f in dataclasses.fields(cls) if f.init})
-    assert rebuilt == value
-    assert hash(rebuilt) == hash(value)
-    # repr tells an int from an equal float or bool, which == does not
-    assert repr(rebuilt) == repr(value)
+
+def test_every_domain_type_is_sampled():
+    public = {getattr(primelattice, name) for name in primelattice.__all__}
+    domain_types = {cls for cls in public if dataclasses.is_dataclass(cls)} | {_DpTable}
+    assert {type(value) for value in DOMAIN_VALUES} == domain_types
+
+
+@pytest.mark.parametrize("value", DOMAIN_VALUES, ids=lambda value: type(value).__name__)
+def test_frozen_slots_with_an_exact_builder(value):
+    assert_frozen_slots(value)
+
+
+_record = landau_dp(12)
+_res = gcd_lcm_set([12, 18])
+
+
+# one invalid field per validating type; replace runs the public constructor
+@pytest.mark.parametrize(
+    "value,changes",
+    [
+        (factorize(12), {"entries": ((4, 1),)}),
+        (factorize(12), {"entries": ((2, 0),)}),
+        (_res.support, {"primes": (3, 2)}),
+        (_res.support, {"primes": (2, 9)}),
+        (_res.min_exponents, {"exponents": (-1, 1)}),
+        (_res.min_exponents, {"exponents": (1,)}),
+        (_res, {"gcd": 7}),
+        (_res, {"support": PrimeSupport((5, 7))}),
+        (reduce_ratio(8, 12), {"left": 6}),
+        (cycle_decompose([2, 1, 3]), {"n": 4}),
+        (cycle_decompose([2, 1, 3]), {"cycle_lengths": (1, 2)}),
+        (_record.witness, {"parts": (1, 2)}),
+        (_record, {"value": _record.value + 1}),
+        (_record, {"ratio": 0.5}),
+    ],
+    ids=lambda v: type(v).__name__ if not isinstance(v, dict) else ",".join(v),
+)
+def test_replace_still_validates(value, changes):
+    with pytest.raises(DomainError):
+        dataclasses.replace(value, **changes)
+
+
+def test_replace_with_valid_fields_builds_a_checked_value():
+    assert dataclasses.replace(factorize(12), entries=((3, 2),)) == factorize(9)
+    assert dataclasses.replace(_record.witness, parts=(3, 3)).n == 6
+    assert dataclasses.replace(_res.max_exponents, exponents=(0, 0)) == ExponentVector(_res.support, (0, 0))
 
 
 def assert_gcd_lcm_set_rebuilds(values):
