@@ -52,6 +52,7 @@ def _frozen(cls: type[_T]) -> type[_T]:
     validating __post_init__; public constructors keep validating what
     callers pass in. Like the dataclass __init__, the builder is generated
     once per class: object.__new__ and one slot store per field, unrolled.
+    It is compiled on its first call, which keeps the compile out of import.
     """
     slotted = dataclass(frozen=True, slots=True)(cls)
     # the frozen __setattr__ and __delattr__ test against the class before slots
@@ -60,11 +61,19 @@ def _frozen(cls: type[_T]) -> type[_T]:
         if cell.cell_contents is cls:
             cell.cell_contents = slotted
     names = [f.name for f in fields(slotted)]
-    scope = {"_new": object.__new__, "_cls": slotted}
-    scope.update((f"_set_{name}", getattr(slotted, name).__set__) for name in names)
-    stores = "".join(f"    _set_{name}(_obj, {name})\n" for name in names)
-    exec(f"def _trusted({', '.join(names)}):\n    _obj = _new(_cls)\n{stores}    return _obj\n", scope)
-    slotted._trusted = staticmethod(scope["_trusted"])
+
+    def _trusted(*values):
+        scope = {"_new": object.__new__, "_cls": slotted}
+        scope.update((f"_set_{name}", getattr(slotted, name).__set__) for name in names)
+        stores = "".join(f"    _set_{name}(_obj, {name})\n" for name in names)
+        exec(f"def _trusted({', '.join(names)}):\n    _obj = _new(_cls)\n{stores}    return _obj\n", scope)
+        slotted._trusted = staticmethod(scope["_trusted"])
+        return slotted._trusted(*values)
+
+    slotted._trusted = staticmethod(_trusted)
+    # a pickle made before the classes had slots carries the instance __dict__
+    setstate = slotted.__setstate__
+    slotted.__setstate__ = lambda obj, state: setstate(obj, map(state.__getitem__, names) if type(state) is dict else state)
     return slotted
 
 

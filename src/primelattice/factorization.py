@@ -209,16 +209,11 @@ def _prime_powers(n: int) -> dict[int, int]:
         e = (m & -m).bit_length() - 1
         powers[2] = e
         m >>= e
-    # the table names m's least prime, so each prime comes in one run, unseen before
     while p := _odd_spf[m >> 1]:
+        powers[p] = powers.get(p, 0) + 1
         m //= p
-        e = 1
-        while m % p == 0:
-            m //= p
-            e += 1
-        powers[p] = e
     if m > 1:
-        powers[m] = 1
+        powers[m] = powers.get(m, 0) + 1
     return powers
 
 

@@ -5,15 +5,18 @@ the CI matrix can run them without pytest or hypothesis:
 
 It runs each golden CLI case through cli.run and compares its stdout with the
 golden file, and builds one value of every domain type the way the library
-does, then checks that the value is frozen, keeps no instance __dict__ and
-rebuilds through its public constructor. Slots and frozen dataclasses behave
+does, then checks that the value is frozen, keeps no instance __dict__,
+rebuilds through its public constructor and survives pickle and copy. Slots and frozen dataclasses behave
 differently across Python versions, which is what this guards. It prints one
 line per failure and exits 1 if there was any.
 """
 
 import contextlib
+import copy
+import copyreg
 import dataclasses
 import io
+import pickle
 import sys
 from pathlib import Path
 
@@ -142,11 +145,39 @@ def assert_frozen_slots(value):
             raise AssertionError(f"{cls.__name__}._trusted took {arity} values")
 
 
+class _DictStatePickler(pickle.Pickler):
+    """Pickles domain values as they were pickled before the domain types had
+    slots: copyreg.__newobj__ of the class, with the instance __dict__ as the
+    state."""
+
+    def reducer_override(self, obj):
+        if not dataclasses.is_dataclass(obj) or isinstance(obj, type):
+            return NotImplemented
+        return copyreg.__newobj__, (type(obj),), {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+
+
+def _dict_state_pickle(value):
+    out = io.BytesIO()
+    _DictStatePickler(out).dump(value)
+    return out.getvalue()
+
+
+def assert_copies(value):
+    """Pickling under every protocol, copy, deepcopy and loading a pickle made
+    with the instance __dict__ as its state each give an equal value of the
+    same class and repr."""
+    copies = [pickle.loads(pickle.dumps(value, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    copies += [copy.copy(value), copy.deepcopy(value), pickle.loads(_dict_state_pickle(value))]
+    for other in copies:
+        assert type(other) is type(value) and other == value, (other, value)
+        assert repr(other) == repr(value), (other, value)
+
+
 def domain_failures(values):
     """One line for each value that fails a check above."""
     failures = []
     for value in values:
-        for check in (assert_rebuilds, assert_frozen_slots):
+        for check in (assert_rebuilds, assert_frozen_slots, assert_copies):
             try:
                 check(value)
             except Exception as exc:

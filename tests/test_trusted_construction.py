@@ -3,7 +3,8 @@ still be values those constructors accept: rebuilding each one through its
 public constructor from its own fields gives an equal value with the same
 hash and repr. The runtime trusts these invariants; the tests keep proving
 them. Every domain type is a frozen slots dataclass whose _trusted builder
-takes exactly its fields, and dataclasses.replace still validates."""
+takes exactly its fields, pickle and copy round-trip it, and
+dataclasses.replace still validates."""
 
 import dataclasses
 
@@ -27,7 +28,7 @@ from primelattice import (
 from primelattice.landau import _DpTable
 from primelattice.lattice import add, align, join, meet
 
-from matrix_checks import assert_frozen_slots, assert_rebuilds, domain_values
+from matrix_checks import assert_copies, assert_frozen_slots, assert_rebuilds, domain_values
 
 nonzero = st.integers(min_value=-(10**6), max_value=10**6).filter(lambda v: v != 0)
 positive = st.integers(min_value=1, max_value=10**6)
@@ -44,6 +45,11 @@ def test_every_domain_type_is_sampled():
 @pytest.mark.parametrize("value", DOMAIN_VALUES, ids=lambda value: type(value).__name__)
 def test_frozen_slots_with_an_exact_builder(value):
     assert_frozen_slots(value)
+
+
+@pytest.mark.parametrize("value", DOMAIN_VALUES, ids=lambda value: type(value).__name__)
+def test_pickle_and_copy_round_trip(value):
+    assert_copies(value)
 
 
 _record = landau_dp(12)
