@@ -89,7 +89,7 @@ def _csv(header: Sequence[str], rows: Iterable[Sequence[object]]) -> list[str]:
 
 
 def _joined(lines: Sequence[str]) -> str:
-    return "".join(f"{line}\n" for line in lines)
+    return "\n".join([*lines, ""])
 
 
 def _decimal_int(text: str) -> int:
@@ -142,7 +142,7 @@ def _cmd_factor(args: argparse.Namespace) -> _Output:
     rebuilt = reconstruct(fac)
     pretty = _pretty_factorization(fac.entries)
     return _Output(
-        {"n": args.n, "factorization": [list(entry) for entry in fac.entries], "pretty": pretty},
+        {"n": args.n, "factorization": fac.entries, "pretty": pretty},
         {"reconstructed": rebuilt, "matches": rebuilt == args.n},
         [f"{args.n} = {pretty}"],
         _csv(["n", "factorization"], [[args.n, pretty]]),
@@ -163,9 +163,9 @@ def _cmd_gcd(args: argparse.Namespace) -> _Output:
     result = {
         "gcd": res.gcd,
         "lcm": res.lcm,
-        "support": list(res.support.primes),
-        "min_exponents": list(res.min_exponents.exponents),
-        "max_exponents": list(res.max_exponents.exponents),
+        "support": res.support.primes,
+        "min_exponents": res.min_exponents.exponents,
+        "max_exponents": res.max_exponents.exponents,
     }
     lines = [f"gcd = {res.gcd}, lcm = {res.lcm}"]
     return _Output(result, verification, lines, _csv(["gcd", "lcm"], [[res.gcd, res.lcm]]), matches)
@@ -209,7 +209,7 @@ def _cmd_order(args: argparse.Namespace) -> _Output:
         # --cycles gets its one-line form only here, where power iteration uses it
         confirmed = verify_order(perm if perm is not None else _synthesize_permutation(decomposition.cycle_lengths), m)
     return _Output(
-        {"degree": decomposition.n, "cycle_lengths": list(decomposition.cycle_lengths), "order": m},
+        {"degree": decomposition.n, "cycle_lengths": decomposition.cycle_lengths, "order": m},
         {"method": "power_iteration", "checked": confirmed is not None, "confirmed": confirmed},
         [f"cycle lengths = {', '.join(str(x) for x in decomposition.cycle_lengths)}", f"order = {m}"],
         _csv(["degree", "order"], [[decomposition.n, m]]),
@@ -229,8 +229,8 @@ def _cmd_landau(args: argparse.Namespace) -> _Output:
         enumerated = sum(1 for _ in partitions(n))
         expected = partition_count(n)
         result.update(
-            witness_dp=list(shown.witness.parts),
-            witness_brute=list(brute.witness.parts),
+            witness_dp=shown.witness.parts,
+            witness_brute=brute.witness.parts,
             partitions_enumerated=enumerated,
         )
         verification = {
@@ -244,7 +244,7 @@ def _cmd_landau(args: argparse.Namespace) -> _Output:
             f"partitions enumerated = {enumerated}",
         ]
     else:
-        result["witness"] = list(shown.witness.parts)
+        result["witness"] = shown.witness.parts
         lines.append(f"witness = {witness}")
     result["ratio"] = shown.ratio
     ratio_text = _format_ratio(shown.ratio)
@@ -256,13 +256,12 @@ def _cmd_landau(args: argparse.Namespace) -> _Output:
 def _cmd_table(args: argparse.Namespace) -> _Output:
     records = asymptotic_table(args.max, args.step)
     rows = ([r.n, r.value, _format_ratio(r.ratio), _format_witness(r.witness.parts)] for r in records)
-    csv = _csv(_TABLE_HEADER, rows)
-    lines = csv
+    csv = lines = _csv(_TABLE_HEADER, rows)
     if args.out is not None:
         with open(args.out, "w", encoding="ascii") as fh:
             fh.write(_joined(csv))
         lines = [f"wrote {len(records)} rows to {args.out}"]
-    result = {"header": _TABLE_HEADER, "rows": [[r.n, r.value, r.ratio, list(r.witness.parts)] for r in records]}
+    result = {"header": _TABLE_HEADER, "rows": [[r.n, r.value, r.ratio, r.witness.parts] for r in records]}
     return _Output(result, None, lines, csv, True)
 
 

@@ -119,6 +119,15 @@ def primes_up_to(limit: int) -> list[int]:
     return _eratosthenes(limit)
 
 
+def _ascending_prime(p: int, last: int, noun: str) -> int:
+    """Return p if it is a prime above last, the one before it in the ascending noun."""
+    if p <= last:
+        raise DomainError(f"{noun} must be strictly ascending, saw {_shown(p)} after {last}")
+    if not is_prime(p):
+        raise DomainError(f"{p} is not prime")
+    return p
+
+
 @_frozen
 class Factorization:
     """Canonical factorization as ((prime, exponent), ...) with primes ascending.
@@ -140,11 +149,7 @@ class Factorization:
         for p, e in entries:
             if e < 1:
                 raise DomainError(f"exponent of {_shown(p)} must be positive, got {_shown(e)}")
-            if p <= last:
-                raise DomainError(f"primes must be strictly ascending, saw {_shown(p)} after {last}")
-            if not is_prime(p):
-                raise DomainError(f"{p} is not prime")
-            last = p
+            last = _ascending_prime(p, last, "primes")
 
     def as_dict(self) -> dict[int, int]:
         return dict(self.entries)

@@ -13,7 +13,7 @@ import math
 from typing import Iterable, Sequence
 
 from .errors import DomainError, _frozen, _integers, _shown
-from .factorization import Factorization, is_prime
+from .factorization import Factorization, _ascending_prime
 
 
 @_frozen
@@ -27,11 +27,7 @@ class PrimeSupport:
         object.__setattr__(self, "primes", primes)
         last = 1
         for p in primes:
-            if p <= last:
-                raise DomainError(f"support primes must be strictly ascending, saw {_shown(p)} after {last}")
-            if not is_prime(p):
-                raise DomainError(f"{p} is not prime")
-            last = p
+            last = _ascending_prime(p, last, "support primes")
 
     def __len__(self) -> int:
         return len(self.primes)

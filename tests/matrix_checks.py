@@ -4,8 +4,9 @@ the CI matrix can run them without pytest or hypothesis:
     PYTHONPATH=src python -X dev -W error::ResourceWarning tests/matrix_checks.py
 
 It runs each golden CLI case through cli.run and compares its stdout with the
-golden file, and builds one value of every domain type the way the library
-does, then checks that the value is frozen, keeps no instance __dict__,
+golden file, checks the exit code, empty stdout and last stderr line of each
+usage error in USAGE_ERRORS, and builds one value of every domain type the
+way the library does, then checks that the value is frozen, keeps no instance __dict__,
 rebuilds through its public constructor and survives pickle and copy. Slots and frozen dataclasses behave
 differently across Python versions, which is what this guards. It prints one
 line per failure and exits 1 if there was any.
@@ -70,6 +71,27 @@ GOLDEN_CASES = {
 }
 
 
+# argv -> the last stderr line of its usage error. Only that line is pinned:
+# the usage lines above it wrap differently across versions (3.13 wraps verify's).
+USAGE_ERRORS = [
+    (["factor", "5", "--format", "yaml"],
+     "primelattice factor: error: argument --format: invalid choice: 'yaml' (choose from 'text', 'json', 'csv')"),
+    (["factor", "5", "--format", "x" * 30],
+     "primelattice factor: error: argument --format: invalid choice: 'xxxxxxxxxxxxxxxxxxxx'... (30 characters)"
+     " (choose from 'text', 'json', 'csv')"),
+    (["landau", "5", "--method", "m" * 40],
+     "primelattice landau: error: argument --method: invalid choice: 'mmmmmmmmmmmmmmmmmmmm'... (40 characters)"
+     " (choose from 'dp', 'brute', 'both')"),
+    (["verify", "--kind", "nope", "--count", "1", "--seed", "1", "--max", "10"],
+     "primelattice verify: error: argument --kind: invalid choice: 'nope'"
+     " (choose from 'product', 'distributive', 'oracle', 'roundtrip')"),
+    (["s" * 40],
+     "primelattice: error: argument SUBCOMMAND: invalid choice: 'ssssssssssssssssssss'... (40 characters)"
+     " (choose from 'factor', 'gcd', 'lcm', 'ratio', 'order', 'landau', 'table', 'verify')"),
+    (["factor", "5", "7", "a\nb"], "primelattice: error: unrecognized arguments: 7 'a\\nb'"),
+]
+
+
 def run_cli(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -84,6 +106,17 @@ def golden_failures(golden_dir=GOLDEN_DIR):
         code, out, err = run_cli(argv)
         if code != 0 or out != (golden_dir / name).read_text():
             failures.append(f"golden {name}: exit {code}, stderr {err!r}")
+    return failures
+
+
+def usage_failures(cases=USAGE_ERRORS):
+    """One line for each usage error that does not exit 1 with empty stdout
+    and the expected last stderr line."""
+    failures = []
+    for argv, last in cases:
+        code, out, err = run_cli(argv)
+        if code != 1 or out or err.splitlines()[-1:] != [last]:
+            failures.append(f"usage error {argv!r}: exit {code}, stdout {out!r}, stderr {err!r}")
     return failures
 
 
@@ -187,11 +220,11 @@ def domain_failures(values):
 
 def main():
     values = domain_values()
-    failures = golden_failures() + domain_failures(values)
+    failures = golden_failures() + usage_failures() + domain_failures(values)
     for line in failures:
         print(line)
-    print(f"Python {sys.version.split()[0]}: {len(GOLDEN_CASES)} golden cases, {len(values)} domain values, "
-          f"{len(failures)} failures")
+    print(f"Python {sys.version.split()[0]}: {len(GOLDEN_CASES)} golden cases, {len(USAGE_ERRORS)} usage errors, "
+          f"{len(values)} domain values, {len(failures)} failures")
     return 1 if failures else 0
 
 

@@ -3,8 +3,8 @@ tier-1 tests.
 
 The "Installed entry point" step is the only check of the
 [project.scripts] console script, of a closed stdout pipe in both
-buffering modes, of a full stdout device, of the table --max 10000 csv md5
-and of a full-range distributive sweep. This test reads
+buffering modes, of a full stdout device, of the table --max 10000 csv and
+json md5s and of a full-range distributive sweep. This test reads
 the step's `run: |` block from the workflow as plain text (YAML is not in
 the standard library) and runs it under `bash -e`, the shell GitHub
 Actions uses for a run block, with a `primelattice` shim first on PATH in

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from primelattice import DomainError, Factorization, factorize, gcd_lcm_set, is_prime, primes_up_to, reconstruct
-from primelattice import factorization, lattice
+from primelattice import factorization
 from primelattice.factorization import _SPF_CAP, MAX_INPUT, TRIAL_CUTOFF
 
 # Mersenne number 2**59 - 1 and its classical two-prime splitting.
@@ -149,7 +149,8 @@ class TestPrimesUpTo:
 
 @pytest.fixture
 def is_prime_calls(monkeypatch):
-    """The arguments of every is_prime call the factorization and lattice modules make."""
+    """The arguments of every is_prime call the factorization and lattice modules
+    make; lattice's go through factorization._ascending_prime."""
     calls = []
 
     def counting_is_prime(n):
@@ -157,7 +158,6 @@ def is_prime_calls(monkeypatch):
         return is_prime(n)
 
     monkeypatch.setattr(factorization, "is_prime", counting_is_prime)
-    monkeypatch.setattr(lattice, "is_prime", counting_is_prime)
     return calls
 
 

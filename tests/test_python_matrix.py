@@ -1,10 +1,11 @@
 """Run tests/matrix_checks.py under the CI matrix's other Python versions.
 
 The workflow tests 3.10 to 3.13; the suite itself runs on one of them. This
-runs the stdlib-only matrix checks (every golden CLI case, and the frozen,
-slots, rebuild and pickle checks on every domain type) under each of 3.10, 3.12 and
-3.13 that pyenv has installed, with the workflow's -X dev -W
-error::ResourceWarning, and skips the versions it cannot find.
+runs the stdlib-only matrix checks (every golden CLI case, the pinned usage
+errors, and the frozen, slots, rebuild and pickle checks on every domain
+type) under each of 3.10, 3.12 and 3.13 that pyenv has installed, with the
+workflow's -X dev -W error::ResourceWarning, and skips the versions it
+cannot find.
 """
 
 import dataclasses
@@ -48,6 +49,16 @@ def test_a_golden_mismatch_is_reported(tmp_path):
     (golden / "gcd_60_90.txt").write_text("gcd = 31\n")
     failures = matrix_checks.golden_failures(golden)
     assert len(failures) == 1 and failures[0].startswith("golden gcd_60_90.txt:"), failures
+
+
+def test_usage_errors_read_as_pinned_here():
+    assert matrix_checks.usage_failures() == []
+
+
+def test_a_usage_error_mismatch_is_reported():
+    argv, last = matrix_checks.USAGE_ERRORS[0]
+    failures = matrix_checks.usage_failures([(argv, last + "!")])
+    assert len(failures) == 1 and failures[0].startswith("usage error ['factor', '5', '--format', 'yaml']:"), failures
 
 
 # at module level, so that pickle finds it and only the missing slots are reported
